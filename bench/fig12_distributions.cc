@@ -5,10 +5,16 @@
 // Expected: Normal/Gamma within ~1.1X of Uniform; Zipf up to ~2.2X —
 // skew concentrates accesses, raising hit rates in the CPU caches (leaf
 // lines) and the GPU L2 (inner nodes).
+//
+// Flags: --n_log2, --queries_log2, --platform, --seed, and
+// --metrics_json=<path> for an hbtree.bench.v1 report (one row per tree
+// and distribution; scripts/check.sh fastpath gates it).
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_support/hb_runner.h"
+#include "bench_support/report.h"
 #include "core/distributions.h"
 
 namespace hbtree::bench {
@@ -17,7 +23,7 @@ namespace {
 template <typename Bench>
 void RunTree(const char* name, const sim::PlatformSpec& platform,
              const std::vector<KeyValue<Key64>>& data, std::size_t q,
-             std::uint64_t seed, Table& table) {
+             std::uint64_t seed, Table& table, BenchReport* report) {
   double uniform_mqps = 0;
   for (Distribution distribution :
        {Distribution::kUniform, Distribution::kNormal, Distribution::kGamma,
@@ -28,6 +34,11 @@ void RunTree(const char* name, const sim::PlatformSpec& platform,
     Bench bench(&sim, data, queries);
     PipelineStats stats = bench.Run(queries, bench.MakeConfig());
     if (distribution == Distribution::kUniform) uniform_mqps = stats.mqps;
+    report->AddRow()
+        .Text("tree", name)
+        .Text("distribution", DistributionName(distribution))
+        .Num("mqps", stats.mqps, 1)
+        .Num("vs_uniform", stats.mqps / uniform_mqps, 3);
     table.PrintRow({name, DistributionName(distribution),
                     Table::Num(stats.mqps, 1),
                     Table::Num(stats.mqps / uniform_mqps, 2) + "x"});
@@ -43,15 +54,25 @@ void Run(const Args& args) {
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);
   auto data = GenerateDataset<Key64>(n, seed);
 
+  BenchReport report("fig12_distributions");
+  report.Meta("platform", platform.name);
+  report.MetaNum("tuples", static_cast<double>(n));
+  report.MetaNum("queries", static_cast<double>(q));
+  report.MetaNum("seed", static_cast<double>(seed));
   Table table({"tree", "distribution", "MQPS", "vs uniform"});
   table.PrintTitle("query distributions (paper Fig. 12)");
   table.PrintHeader();
   RunTree<HbImplicitBench<Key64>>("implicit", platform, data, q, seed,
-                                  table);
-  RunTree<HbRegularBench<Key64>>("regular", platform, data, q, seed, table);
+                                  table, &report);
+  RunTree<HbRegularBench<Key64>>("regular", platform, data, q, seed, table,
+                                 &report);
   std::printf(
       "\nPaper expectation: Normal/Gamma within 1.1x of Uniform; Zipf up "
       "to 2.2x faster.\n");
+  if (args.Has("metrics_json") &&
+      !report.WriteJson(args.GetString("metrics_json", ""))) {
+    std::exit(1);
+  }
 }
 
 }  // namespace

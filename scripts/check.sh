@@ -27,9 +27,10 @@
 #                               #   attribution assertions
 #   scripts/check.sh fastpath   # + hot-path gate: level-wise dispatch
 #                               #   reconciliation and gapped-leaf
-#                               #   differential tests, then a serve run
+#                               #   differential tests, a serve run
 #                               #   whose heat.kernel block must show the
-#                               #   per-level dedup actually collapsing
+#                               #   per-level dedup actually collapsing,
+#                               #   and the Fig 12 paper-figure gate
 #   scripts/check.sh all        # all of the above
 #
 # The release pass is the acceptance gate every change must keep green;
@@ -261,7 +262,8 @@ run_fastpath() {
   echo "==> fast-path gate (level-wise dispatch + gapped leaves + delta sync)"
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$jobs" \
-      --target levelwise_pipeline_test gapped_leaf_diff_test serve_throughput
+      --target levelwise_pipeline_test gapped_leaf_diff_test serve_throughput \
+      fig12_distributions
   # The C++ side: exact reconciliation of per-level kernel node loads
   # against host-replayed descents, pipeline answer equivalence with the
   # dispatch on/off, the gapped-leaf differential suite, and the
@@ -284,6 +286,21 @@ assert sum(kernel['node_loads']) > 0, 'kernel block recorded no node loads'
 print('build/FASTPATH_serve.json: kernel dedup %d/%d loads over %d launches'
       % (sum(kernel['node_loads']), sum(kernel['node_queries']),
          kernel['launches']))"
+  # Paper-figure gate (Fig 12 at its defaults, modelled M1 clock): the
+  # implicit HB+-tree must keep its CPU-bound plateau on uniform queries
+  # (>= 200 MQPS; the paper's ~240) and skew must not slow it down.
+  ./build/bench/fig12_distributions --metrics_json=build/FASTPATH_fig12.json
+  python3 scripts/validate_metrics.py build/FASTPATH_fig12.json
+  python3 -c "
+import json
+rows = json.load(open('build/FASTPATH_fig12.json'))['rows']
+mqps = {(r['tree'], r['distribution']): r['mqps'] for r in rows}
+uniform, zipf = mqps[('implicit', 'uniform')], mqps[('implicit', 'zipf')]
+assert uniform >= 200, 'implicit HB uniform %.1f MQPS < 200' % uniform
+assert zipf >= uniform, 'implicit HB zipf %.1f < uniform %.1f MQPS' % (
+    zipf, uniform)
+print('build/FASTPATH_fig12.json: implicit uniform %.1f, zipf %.1f MQPS'
+      % (uniform, zipf))"
 }
 
 case "$mode" in

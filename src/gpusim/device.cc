@@ -39,13 +39,15 @@ void Device::set_metrics_registry(obs::MetricsRegistry* registry) {
       static_cast<double>(used_.load(std::memory_order_relaxed)));
 }
 
-bool Device::AccessL2(DevicePtr ptr) {
+int Device::AccessL2(std::uint32_t alloc_id, const std::uint64_t* segments,
+                     int count) {
   // Segment id: allocation id in the high bits, 64-byte segment in the low
   // bits — distinct allocations can never alias.
-  const std::uint64_t segment =
-      (static_cast<std::uint64_t>(ptr.alloc_id) << 40) | (ptr.offset / 64);
+  const std::uint64_t tag = static_cast<std::uint64_t>(alloc_id) << 40;
+  int hits = 0;
   std::lock_guard<std::mutex> lock(l2_mutex_);
-  return l2_.Access(segment);
+  for (int i = 0; i < count; ++i) hits += l2_.Access(tag | segments[i]);
+  return hits;
 }
 
 DevicePtr Device::TryMalloc(std::size_t bytes) {

@@ -53,8 +53,8 @@ struct DevicePtr {
 ///   structurally — snapshot drain before mutation, and an exclusive
 ///   probe lock around mirror resyncs).
 /// - AccessL2 serializes on `l2_mutex_`: the L2 is one physical resource,
-///   so concurrent kernel streams interleave their segment accesses in
-///   arrival order (see DESIGN.md §9 for the modelled-time semantics).
+///   so concurrent kernel streams interleave their gathers in arrival
+///   order (see DESIGN.md §9 for the modelled-time semantics).
 /// - set_fault_injector/set_metrics_registry are setup-time calls and
 ///   must not race device traffic.
 class Device {
@@ -129,12 +129,14 @@ class Device {
   std::size_t capacity_bytes() const { return spec_.memory_bytes; }
   const sim::GpuSpec& spec() const { return spec_; }
 
-  /// Simulates one 64-byte-segment access through the device L2; returns
-  /// true on hit (the segment does not consume DRAM bandwidth). Keyed by
+  /// Simulates the accesses of one warp gather through the device L2:
+  /// `count` 64-byte segment indices of allocation `alloc_id`, in order.
+  /// Returns how many hit (hits do not consume DRAM bandwidth). Keyed by
   /// (allocation, segment) so distinct allocations never alias. The L2 is
   /// one physical resource: concurrent streams serialize on an internal
-  /// mutex and interleave in arrival order.
-  bool AccessL2(DevicePtr ptr);
+  /// mutex and interleave a gather at a time, in arrival order.
+  int AccessL2(std::uint32_t alloc_id, const std::uint64_t* segments,
+               int count);
   /// Direct L2 access for single-threaded inspection (tests, reports);
   /// not synchronized against concurrent AccessL2 traffic.
   sim::CacheLevel& l2() { return l2_; }

@@ -36,18 +36,16 @@ void WarpScope::RecordAccess(DevicePtr base,
   // queries, ascending lanes within a team), so the segment list usually
   // arrives pre-sorted and only adjacent duplicates need collapsing.
   if (!sorted) std::sort(segments, segments + count);
-  const auto* end = std::unique(segments, segments + count);
-  for (const std::uint64_t* seg = segments; seg != end; ++seg) {
-    ++stats_->memory_transactions;
-    // Each transaction consumes DRAM bandwidth only when it misses the
-    // device L2 — this is what lets skewed query streams outrun uniform
-    // ones on the GPU as well (Figure 12).
-    if (device_->AccessL2(DevicePtr{base.alloc_id, *seg * kTransactionBytes})) {
-      stats_->l2_bytes += kTransactionBytes;
-    } else {
-      stats_->dram_bytes += kTransactionBytes;
-    }
-  }
+  const int distinct =
+      static_cast<int>(std::unique(segments, segments + count) - segments);
+  // Each transaction consumes DRAM bandwidth only when it misses the
+  // device L2 — this is what lets skewed query streams outrun uniform
+  // ones on the GPU as well (Figure 12).
+  const int hits = device_->AccessL2(base.alloc_id, segments, distinct);
+  stats_->memory_transactions += static_cast<std::uint64_t>(distinct);
+  stats_->l2_bytes += static_cast<std::uint64_t>(hits) * kTransactionBytes;
+  stats_->dram_bytes +=
+      static_cast<std::uint64_t>(distinct - hits) * kTransactionBytes;
   stats_->warp_instructions += 1;  // the load/store instruction itself
   stats_->memory_gathers += 1;
 }

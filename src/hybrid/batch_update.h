@@ -47,9 +47,9 @@ struct BatchUpdateConfig {
   double cpu_update_us = 0.15;
   /// Modelled per-query lock acquisition overhead, µs.
   double lock_overhead_us = 0.02;
-  /// Modelled per-query cost of the key sort that precedes the
-  /// asynchronous apply (same rate the read path charges its bucket
-  /// sort). Serial: it runs before the workers fan out.
+  /// Modelled per-query cost of the host key sort that precedes the
+  /// asynchronous apply (~250 M keys/s radix-class). Serial: it runs
+  /// before the workers fan out.
   double sort_us_per_query = 0.004;
   /// Parallel scaling efficiency of the lock-based phase. Updates are
   /// dependent random accesses, so extra threads mostly hide latency the
@@ -148,8 +148,8 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   // the same big leaf form a run that reuses one descent (the leaf's
   // external bound tells us when the run ends) and edits the leaf's
   // lines sequentially instead of hopping across the keyspace. The
-  // per-update cost model is unchanged; the sort is charged explicitly
-  // (sort_us_per_query, same rate as the read path's bucket sort).
+  // per-update cost model is unchanged; the host sort is charged
+  // explicitly at sort_us_per_query.
   const bool parallel = method == UpdateMethod::kAsyncParallel;
   std::uint64_t applied = 0;
   std::uint64_t structural = 0;

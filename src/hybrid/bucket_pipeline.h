@@ -45,16 +45,13 @@ struct PipelineConfig {
   /// with the CPU cost model on a traced run (see bench_support).
   double cpu_queries_per_us = 1.0;
 
-  /// Level-wise batch dispatch (DESIGN.md §14): sort each bucket by key
-  /// so that runs of queries sharing an inner node resolve with one
-  /// modelled node load per level instead of one per query. Applies to
-  /// tree variants with a level-wise kernel (implicit, regular); others
-  /// keep the per-query launch. Results are written back in the caller's
-  /// original query order either way.
+  /// Level-wise batch dispatch (DESIGN.md §14): the kernel sorts each
+  /// launch by key on the device, so that runs of queries sharing an inner
+  /// node resolve with one modelled node load per level instead of one
+  /// per query. Applies to tree variants with a level-wise kernel
+  /// (implicit, regular); others keep the per-query launch. Results are
+  /// written back in the caller's original query order either way.
   bool level_wise = true;
-  /// Modelled CPU cost of the bucket key sort, µs per query (charged to
-  /// the pre-GPU stage when level_wise is active; ~250 M keys/s radix).
-  double sort_us_per_query = 0.004;
 
   // -- Load balancing (Section 5.5). Defaults = all inner levels on GPU. --
   int cpu_descend_levels = 0;    // D
@@ -272,9 +269,12 @@ struct ImplicitAdapter {
   static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
                                           gpu::DevicePtr results,
                                           std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes) {
+                                          gpu::DevicePtr start_nodes,
+                                          gpu::DevicePtr sort_scratch) {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
+    params.indexed_results = true;
+    params.sort_scratch = sort_scratch;
     return RunImplicitInnerSearchLevelWise<K>(tree.device(), params);
   }
 
@@ -320,9 +320,12 @@ struct RegularAdapter {
   static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
                                           gpu::DevicePtr results,
                                           std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes) {
+                                          gpu::DevicePtr start_nodes,
+                                          gpu::DevicePtr sort_scratch) {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
+    params.indexed_results = true;
+    params.sort_scratch = sort_scratch;
     return RunRegularInnerSearchLevelWise<K>(tree.device(), params);
   }
 
@@ -352,7 +355,8 @@ struct FastAdapter {
   static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
                                           gpu::DevicePtr results,
                                           std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes) {
+                                          gpu::DevicePtr start_nodes,
+                                          gpu::DevicePtr /*sort_scratch*/) {
     return Launch(tree, queries, results, count, start_level, start_nodes);
   }
 
@@ -414,8 +418,15 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     return Status::InvalidArgument("bucket_size must be positive");
   }
   const std::uint32_t m = static_cast<std::uint32_t>(config.bucket_size);
+  // Level-wise results come back as 12 B IndexedResult records; the same
+  // allocation carries the kernel's sort scratch behind them.
+  const std::size_t result_bytes =
+      level_wise ? sizeof(IndexedResult) : sizeof(std::uint64_t);
   gpu::ScopedDeviceAlloc q_dev(&device, m * sizeof(K));
-  gpu::ScopedDeviceAlloc r_dev(&device, m * sizeof(std::uint64_t));
+  gpu::ScopedDeviceAlloc r_dev(
+      &device, m * result_bytes +
+                   (level_wise ? levelwise_internal::SortScratchBytes<K>(m)
+                               : 0));
   gpu::ScopedDeviceAlloc s_dev(&device,
                           balanced ? m * sizeof(std::uint32_t) : 0);
   if (!q_dev.ok() || !r_dev.ok() || (balanced && !s_dev.ok())) {
@@ -433,19 +444,15 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   // Start-node indices travel as 32-bit values: every level a partial
   // descent can reach has fewer than 2^32 nodes.
   std::vector<std::uint32_t> start_nodes(m);
-  std::vector<std::uint64_t> intermediate(m);
-  // Level-wise dispatch: per-bucket sort permutation and sorted staging
-  // buffer. The device sees the sorted keys; Finish maps each result back
-  // through `order` so callers keep their original query order.
-  std::vector<std::uint32_t> order(level_wise ? m : 0);
-  std::vector<K> sorted_q(level_wise ? m : 0);
+  std::vector<std::uint64_t> intermediate(level_wise ? 0 : m);
+  std::vector<IndexedResult> indexed(level_wise ? m : 0);
   std::vector<double> bucket_end;
   double latency_sum = 0;
 
   if (results != nullptr) results->resize(count);
 
   if (level_wise && config.heat != nullptr) {
-    // Sorted buckets let the CPU-side tracers attribute per-batch (not
+    // Sorted results let the CPU-side tracers attribute per-batch (not
     // per-query) node traffic: consecutive same-node touches collapse.
     std::lock_guard<std::mutex> lock(config.heat->mu);
     config.heat->pre_descend.set_collapse_repeats(true);
@@ -456,27 +463,11 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     const std::uint32_t n =
         static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
 
-    // -- Level-wise dispatch: stage this bucket in sorted key order so
-    // queries sharing a node form consecutive runs (ties break by index,
-    // keeping the permutation deterministic).
     const K* bq = queries + base;
-    if (level_wise) {
-      for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
-      std::sort(order.begin(), order.begin() + n,
-                [&](std::uint32_t a, std::uint32_t b) {
-                  const K ka = queries[base + a];
-                  const K kb = queries[base + b];
-                  return ka < kb || (ka == kb && a < b);
-                });
-      for (std::uint32_t i = 0; i < n; ++i) {
-        sorted_q[i] = queries[base + order[i]];
-      }
-      bq = sorted_q.data();
-      if (config.heat != nullptr) {
-        std::lock_guard<std::mutex> lock(config.heat->mu);
-        config.heat->pre_descend.ResetRepeatMemo();
-        config.heat->cpu_leaf.ResetRepeatMemo();
-      }
+    if (level_wise && config.heat != nullptr) {
+      std::lock_guard<std::mutex> lock(config.heat->mu);
+      config.heat->pre_descend.ResetRepeatMemo();
+      config.heat->cpu_leaf.ResetRepeatMemo();
     }
 
     // -- CPU pre-descent (Section 5.5): R*n queries descend D levels, the
@@ -510,7 +501,6 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       tpre = part1 * descend_cost(d_levels) +
              (n - part1) * descend_cost(d_levels + 1);
     }
-    if (level_wise) tpre += n * config.sort_us_per_query;
 
     // -- T1: queries (+ start nodes) to device, one combined transfer.
     // Transient transfer faults retry with exponential backoff; the
@@ -546,20 +536,21 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
             HBTREE_RETURN_IF_ERROR(injector->Check(fault::Site::kKernel));
           }
           gpu::KernelStats attempt;
+          const gpu::DevicePtr scratch = r_dev.get() + m * result_bytes;
           auto launch = [&](gpu::DevicePtr q, gpu::DevicePtr r,
                             std::uint32_t cnt, int start_level,
                             gpu::DevicePtr s) {
             return level_wise
                        ? Adapter::LaunchLevelWise(tree, q, r, cnt,
-                                                  start_level, s)
+                                                  start_level, s, scratch)
                        : Adapter::Launch(tree, q, r, cnt, start_level, s);
           };
           if (!balanced) {
             attempt = launch(q_dev.get(), r_dev.get(), n, height,
                              gpu::DevicePtr{});
           } else {
-            // Both parts of the split are contiguous slices of the sorted
-            // bucket, so each launch still sees sorted queries.
+            // Each part of the split is its own launch, which sorts its
+            // own slice of the bucket (caller indices are slice-relative).
             if (part1 > 0) {
               attempt += launch(q_dev.get(), r_dev.get(), part1,
                                 height - d_levels, s_dev.get());
@@ -567,7 +558,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
             if (part1 < n) {
               attempt += launch(
                   q_dev.get() + part1 * sizeof(K),
-                  r_dev.get() + part1 * sizeof(std::uint64_t), n - part1,
+                  r_dev.get() + part1 * result_bytes, n - part1,
                   height - d_levels - 1,
                   s_dev.get() + part1 * sizeof(std::uint32_t));
             }
@@ -599,36 +590,46 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     }
     const double t2 = kt.total_us + backoff_us;
 
-    // -- T3: intermediate results back ------------------------------------
+    // -- T3: intermediate results back (12 B IndexedResult records when
+    // level-wise, 8 B values otherwise) --------------------------------
     double t3 = 0;
     backoff_us = 0;
     HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
         retry,
         [&] {
-          return transfer.TryCopyToHost(intermediate.data(), r_dev.get(),
-                                        n * sizeof(std::uint64_t), &t3);
+          void* host = level_wise ? static_cast<void*>(indexed.data())
+                                  : static_cast<void*>(intermediate.data());
+          return transfer.TryCopyToHost(host, r_dev.get(), n * result_bytes,
+                                        &t3);
         },
         &stats.transfer_retries, &backoff_us));
     t3 += backoff_us;
 
-    // -- T4: CPU leaf search (results map back through the sort
-    // permutation when dispatch was level-wise). -------------------------
+    // -- T4: CPU leaf search. Level-wise records arrive in sorted order;
+    // each carries its query's slice-relative index, so the finish runs
+    // in sorted order and writes result i to query i. ------------------
+    auto finish = [&](auto&& finish_one) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t q =
+            level_wise ? indexed[i].index + (i < part1 ? 0 : part1) : i;
+        // A prvalue operand: the packed record field must not be read
+        // through an lvalue of the (8-byte aligned) plain type.
+        const std::uint64_t inter =
+            level_wise ? std::uint64_t{indexed[i].intermediate}
+                       : intermediate[i];
+        LookupResult<K> r = finish_one(inter, bq[q]);
+        if (results != nullptr) (*results)[base + q] = r;
+      }
+    };
     if (config.heat != nullptr) {
       std::lock_guard<std::mutex> lock(config.heat->mu);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        LookupResult<K> r = Adapter::Finish(tree, intermediate[i], bq[i],
-                                            &config.heat->cpu_leaf);
-        if (results != nullptr) {
-          (*results)[base + (level_wise ? order[i] : i)] = r;
-        }
-      }
+      finish([&](std::uint64_t inter, K key) {
+        return Adapter::Finish(tree, inter, key, &config.heat->cpu_leaf);
+      });
     } else {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        LookupResult<K> r = Adapter::Finish(tree, intermediate[i], bq[i]);
-        if (results != nullptr) {
-          (*results)[base + (level_wise ? order[i] : i)] = r;
-        }
-      }
+      finish([&](std::uint64_t inter, K key) {
+        return Adapter::Finish(tree, inter, key);
+      });
     }
     const double t4 = n / config.cpu_queries_per_us;
 

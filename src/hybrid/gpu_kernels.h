@@ -1,8 +1,11 @@
 #ifndef HBTREE_HYBRID_GPU_KERNELS_H_
 #define HBTREE_HYBRID_GPU_KERNELS_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/macros.h"
@@ -27,6 +30,389 @@ namespace hbtree {
 /// Both kernels support the load-balancing scheme (Section 5.5): queries
 /// may carry a per-query start node produced by a partial CPU descent.
 
+/// One result record of a level-wise launch on the wire (12 B): the
+/// intermediate result of the query at sorted position i and that
+/// query's index within the launch. The host finishes the records in
+/// sorted order and writes each answer back to its caller.
+#pragma pack(push, 4)
+struct IndexedResult {
+  std::uint64_t intermediate;
+  std::uint32_t index;
+};
+#pragma pack(pop)
+static_assert(sizeof(IndexedResult) == 12, "12 B per query on the wire");
+
+/// Sort phase of the level-wise launches (DESIGN.md §14).
+///
+/// A level-wise launch takes its queries in caller order and first sorts
+/// the (key, caller index, start node) records by key, ties by index —
+/// the order that makes queries sharing a node consecutive. The phase
+/// has the shape of Stehle & Jacobsen's bandwidth-efficient hybrid GPU
+/// sort: partition passes over device scratch split the launch until
+/// every bucket fits one block's shared-memory tile, then each bucket is
+/// sorted in shared memory (a bitonic network) and written where the
+/// search phase reads it. The partition splits on sampled splitters with equality
+/// buckets instead of radix digits, so a heavily repeated key (Zipf)
+/// settles in one pass rather than one pass per shared digit, and
+/// single-key buckets need no local sort. A launch of at most one tile
+/// skips the passes: the search warps' own coalesced query loads fill
+/// the tile, so the phase adds only shared-memory and ALU work there.
+/// The functional sort is a host sort (the simulator executes lanes on
+/// the host); every device step is billed through WarpScope, so the
+/// kernel cost model prices it with the search.
+namespace levelwise_internal {
+
+template <typename K>
+struct SortRecord {
+  K key;
+  std::uint32_t index;  // position in the launch's caller-order input
+  std::uint32_t start;  // pre-descended start node (0 without)
+};
+
+/// Records one 1024-thread block sorts in shared memory: one per team.
+template <typename K>
+inline constexpr std::uint32_t kSortTile = 1024 / KeyTraits<K>::kPerCacheLine;
+
+/// Device scratch a launch of `count` queries needs for its partition
+/// passes (two ping-pong halves of records; none within one tile).
+template <typename K>
+std::size_t SortScratchBytes(std::uint32_t count) {
+  return count > kSortTile<K>
+             ? 2 * std::size_t{count} * sizeof(SortRecord<K>)
+             : 0;
+}
+
+/// Compare-exchange stages of a bitonic network over `n` records.
+inline int BitonicStages(std::uint32_t n) {
+  const int l = std::bit_width(std::max(n, 1u) - 1);
+  return l * (l + 1) / 2;
+}
+
+template <typename K>
+struct SortedLaunch {
+  std::vector<SortRecord<K>> records;  // by (key, index)
+  /// Where the sorted records live for the search phase's gather (the
+  /// simulator serves their contents from `records`); null for a
+  /// one-tile launch, whose search warps feed the shared sort themselves.
+  gpu::DevicePtr device;
+  int tile_stages = 0;  // bitonic stages of the one-tile sort
+  std::unique_ptr<gpu::ScopedDeviceAlloc> owned_scratch;
+};
+
+/// One warp's share of a shared-memory bitonic sort over `lanes` records.
+inline void ChargeBitonic(gpu::WarpScope& warp, int stages, int lanes) {
+  for (int s = 0; s < stages; ++s) {
+    warp.SharedAccessUniform(lanes);  // partner record
+    warp.Instruction(2);              // compare + select
+    warp.SharedAccessUniform(lanes);  // write back
+  }
+}
+
+/// Index of the first splitter >= key (branch-free binary search).
+template <typename K>
+std::uint32_t LowerBound(const std::vector<K>& split, K key) {
+  const K* base = split.data();
+  std::size_t n = split.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < key ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::uint32_t>(base - split.data()) +
+         (*base < key ? 1u : 0u);
+}
+
+/// Runs the sort phase of a launch over `count` caller-order queries.
+/// The sort warps (one record per lane) are the launch's own warps
+/// running ahead of the search, so they add no warps to the launch.
+template <typename K>
+SortedLaunch<K> SortLaunch(gpu::Device& device, gpu::DevicePtr queries,
+                           gpu::DevicePtr start_nodes, std::uint32_t count,
+                           gpu::DevicePtr scratch, gpu::KernelStats* stats) {
+  using Record = SortRecord<K>;
+  constexpr int kLanes = gpu::WarpScope::kWarpSize;
+  constexpr std::uint32_t kBlock = 1024;   // records staged per block
+  constexpr std::uint32_t kMaxBuckets = 256;
+  constexpr std::uint32_t kOversample = 4;  // sample keys per bucket
+  auto less = [](const Record& a, const Record& b) {
+    return a.key < b.key || (a.key == b.key && a.index < b.index);
+  };
+
+  SortedLaunch<K> out;
+  std::vector<Record>& cur = out.records;
+  cur.resize(count);
+  {
+    const K* keys = device.HostViewAs<K>(queries);
+    const std::uint32_t* starts =
+        start_nodes.is_null() ? nullptr
+                              : device.HostViewAs<std::uint32_t>(start_nodes);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      cur[i] = Record{keys[i], i, starts != nullptr ? starts[i] : 0u};
+    }
+  }
+  if (count <= kSortTile<K>) {
+    std::sort(cur.begin(), cur.end(), less);
+    out.tile_stages = BitonicStages(count);
+    return out;
+  }
+
+  if (scratch.is_null()) {
+    out.owned_scratch = std::make_unique<gpu::ScopedDeviceAlloc>(
+        &device, SortScratchBytes<K>(count));
+    HBTREE_CHECK_MSG(out.owned_scratch->ok(), "no device memory for sort");
+    scratch = out.owned_scratch->get();
+  }
+  const gpu::DevicePtr half[2] = {scratch, scratch + count * sizeof(Record)};
+  gpu::KernelStats sort_stats;
+  std::uint64_t off[kLanes];
+
+  // Bills a warp's access to the records at positions pos[0..lanes) of
+  // `src`: -1 is the caller-order input arrays, 0/1 a scratch half.
+  auto access = [&](gpu::WarpScope& warp, int src, const std::uint32_t* pos,
+                    int lanes, bool keys_only) {
+    if (src < 0) {
+      for (int l = 0; l < lanes; ++l) off[l] = pos[l] * sizeof(K);
+      warp.RecordAccess(queries, off, lanes, sizeof(K));
+      if (keys_only || start_nodes.is_null()) return;
+      for (int l = 0; l < lanes; ++l) {
+        off[l] = pos[l] * sizeof(std::uint32_t);
+      }
+      warp.RecordAccess(start_nodes, off, lanes, sizeof(std::uint32_t));
+      return;
+    }
+    for (int l = 0; l < lanes; ++l) off[l] = pos[l] * sizeof(Record);
+    warp.RecordAccess(half[src], off, lanes,
+                      keys_only ? sizeof(K) : sizeof(Record));
+  };
+  // Runs `body(warp, pos, lanes)` over positions [lo, hi) in warps.
+  auto sweep = [&](std::uint32_t lo, std::uint32_t hi, auto&& body) {
+    std::uint32_t pos[kLanes];
+    for (std::uint32_t w = lo; w < hi; w += kLanes) {
+      const int lanes =
+          static_cast<int>(std::min<std::uint32_t>(kLanes, hi - w));
+      for (int l = 0; l < lanes; ++l) {
+        pos[l] = w + static_cast<std::uint32_t>(l);
+      }
+      gpu::WarpScope warp(&device, &sort_stats, lanes);
+      body(warp, pos, lanes);
+    }
+  };
+
+  struct Bucket {
+    std::uint32_t lo, hi;
+    int src;        // where its records live: -1 input, 0/1 scratch half
+    bool constant;  // a single key: already in (key, index) order
+  };
+  std::vector<Bucket> pending{{0, count, -1, false}};
+  std::vector<Bucket> done;
+  std::vector<Record> moved(count);
+  std::vector<std::uint16_t> child_of(count);
+  std::vector<std::uint32_t> staged;
+  while (!pending.empty()) {
+    std::vector<Bucket> children;
+    for (const Bucket& b : pending) {
+      const std::uint32_t size = b.hi - b.lo;
+      const int dst = b.src < 0 ? 0 : 1 - b.src;
+      // Splitters: a regular sample, sorted in shared memory by one
+      // block; every kOversample-th distinct key splits. Each splitter
+      // also gets an equality child, so duplicates never recurse.
+      const std::uint32_t buckets = std::clamp<std::uint32_t>(
+          std::bit_ceil(2 * size / kSortTile<K>), 2, kMaxBuckets);
+      const std::uint32_t samples = buckets * kOversample;
+      std::vector<std::uint32_t> sample_pos(samples);
+      std::vector<K> split(samples);
+      for (std::uint32_t j = 0; j < samples; ++j) {
+        sample_pos[j] = b.lo + static_cast<std::uint32_t>(
+                                   std::uint64_t{j} * size / samples);
+        split[j] = cur[sample_pos[j]].key;
+      }
+      for (std::uint32_t j = 0; j < samples; j += kLanes) {
+        const int lanes =
+            static_cast<int>(std::min<std::uint32_t>(kLanes, samples - j));
+        gpu::WarpScope warp(&device, &sort_stats, lanes);
+        access(warp, b.src, &sample_pos[j], lanes, /*keys_only=*/true);
+        warp.SharedAccessUniform(lanes);
+        ChargeBitonic(warp, BitonicStages(samples), lanes);
+      }
+      std::sort(split.begin(), split.end());
+      std::size_t kept = 0;
+      for (std::uint32_t j = kOversample - 1; j < samples; j += kOversample) {
+        if (kept == 0 || split[kept - 1] != split[j]) split[kept++] = split[j];
+      }
+      split.resize(kept);
+
+      // Child 2i holds keys between splitters i-1 and i, child 2i+1 the
+      // keys equal to splitter i.
+      const auto nchild = static_cast<std::uint32_t>(2 * kept + 1);
+      std::vector<std::uint32_t> offset(nchild, 0);
+      std::vector<K> cmin(nchild, KeyTraits<K>::kMax), cmax(nchild, 0);
+      for (std::uint32_t i = b.lo; i < b.hi; ++i) {
+        const K key = cur[i].key;
+        const std::uint32_t s = LowerBound(split, key);
+        const std::uint32_t c = 2 * s + (s < kept && split[s] == key);
+        child_of[i] = static_cast<std::uint16_t>(c);
+        ++offset[c];
+        cmin[c] = std::min(cmin[c], key);
+        cmax[c] = std::max(cmax[c], key);
+      }
+      // Histogram sweep: binary search over the splitters in shared
+      // memory, then a shared atomic per record; equal children in a
+      // warp collide on one bank and serialize.
+      const int search_steps = std::bit_width(kept);
+      auto classify_cost = [search_steps](gpu::WarpScope& warp, int lanes) {
+        for (int step = 0; step < search_steps; ++step) {
+          warp.SharedAccessUniform(lanes);
+          warp.Instruction(2);
+        }
+      };
+      sweep(b.lo, b.hi, [&](gpu::WarpScope& warp, const std::uint32_t* pos,
+                            int lanes) {
+        access(warp, b.src, pos, lanes, /*keys_only=*/true);
+        classify_cost(warp, lanes);
+        int banks[kLanes];
+        for (int l = 0; l < lanes; ++l) {
+          banks[l] = child_of[pos[l]] % gpu::WarpScope::kSharedBanks;
+        }
+        warp.SharedAccess(banks, lanes);
+      });
+      // Exclusive scan of the counters: one warp, nchild / 32 rounds.
+      {
+        gpu::WarpScope warp(&device, &sort_stats);
+        for (std::uint32_t r = 0; r < nchild; r += kLanes) {
+          warp.SharedAccessUniform(kLanes);
+          warp.Instruction(2);
+        }
+        std::uint32_t run = b.lo;
+        for (std::uint32_t c = 0; c < nchild; ++c) {
+          const std::uint32_t n = offset[c];
+          offset[c] = run;
+          run += n;
+          if (n == 0) continue;
+          const Bucket child{offset[c], run, dst, cmin[c] == cmax[c]};
+          if (n > kSortTile<K> && !child.constant) {
+            children.push_back(child);
+          } else {
+            done.push_back(child);
+          }
+        }
+      }
+      // Scatter sweep: stable destinations; each block stages its records
+      // by child in shared memory so a warp writes runs of one child,
+      // which coalesce.
+      std::vector<std::uint32_t> block_first(nchild);
+      for (std::uint32_t blo = b.lo; blo < b.hi; blo += kBlock) {
+        const std::uint32_t bhi = std::min(b.hi, blo + kBlock);
+        block_first = offset;
+        for (std::uint32_t i = blo; i < bhi; ++i) {
+          moved[offset[child_of[i]]++] = cur[i];
+        }
+        staged.clear();
+        for (std::uint32_t c = 0; c < nchild; ++c) {
+          for (std::uint32_t d = block_first[c]; d < offset[c]; ++d) {
+            staged.push_back(d);
+          }
+        }
+        sweep(blo, bhi, [&](gpu::WarpScope& warp, const std::uint32_t* pos,
+                            int lanes) {
+          access(warp, b.src, pos, lanes, /*keys_only=*/false);
+          classify_cost(warp, lanes);
+          warp.SharedAccessUniform(lanes);  // stage by child rank
+          warp.SharedAccessUniform(lanes);
+          access(warp, dst, &staged[pos[0] - blo], lanes,
+                 /*keys_only=*/false);
+        });
+      }
+      std::copy(moved.begin() + b.lo, moved.begin() + b.hi,
+                cur.begin() + b.lo);
+    }
+    pending.swap(children);
+  }
+
+  // Tile sweep: every bucket with more than one key is loaded by one
+  // block, sorted in shared memory and written to half 0, where the
+  // search phase reads; single-key buckets already in half 0 stay put.
+  for (const Bucket& b : done) {
+    const bool sort = !b.constant;
+    if (!sort && b.src == 0) continue;
+    if (sort) std::sort(cur.begin() + b.lo, cur.begin() + b.hi, less);
+    const int stages = sort ? BitonicStages(b.hi - b.lo) : 0;
+    sweep(b.lo, b.hi, [&](gpu::WarpScope& warp, const std::uint32_t* pos,
+                          int lanes) {
+      access(warp, b.src, pos, lanes, /*keys_only=*/false);
+      if (sort) {
+        warp.SharedAccessUniform(lanes);
+        ChargeBitonic(warp, stages, lanes);
+      }
+      access(warp, 0, pos, lanes, /*keys_only=*/false);
+    });
+  }
+  out.device = half[0];
+
+  sort_stats.warps_executed = 0;  // the launch's own warps, counted there
+  *stats += sort_stats;
+  return out;
+}
+
+/// Search-phase load of one warp's teams: sorted key, caller index and
+/// start node (`root` without pre-descent) of sorted positions
+/// [warp_base, warp_base + teams).
+template <typename K>
+void LoadSortedTeams(gpu::WarpScope& warp, const SortedLaunch<K>& sorted,
+                     gpu::DevicePtr queries, gpu::DevicePtr start_nodes,
+                     std::uint64_t root, std::uint32_t warp_base, int teams,
+                     K* key, std::uint32_t* index, std::uint64_t* node) {
+  std::uint64_t off[gpu::WarpScope::kWarpSize] = {};
+  const SortRecord<K>* rec = sorted.records.data() + warp_base;
+  if (!sorted.device.is_null()) {
+    for (int t = 0; t < teams; ++t) {
+      off[t] = (warp_base + t) * sizeof(SortRecord<K>);
+    }
+    warp.RecordAccess(sorted.device, off, teams, sizeof(SortRecord<K>));
+  } else {
+    // One-tile launch: the warp's coalesced loads of its caller-order
+    // queries (and start nodes) fill the block's shared tile; after the
+    // bitonic network each team reads its sorted record back.
+    for (int t = 0; t < teams; ++t) off[t] = (warp_base + t) * sizeof(K);
+    warp.RecordAccess(queries, off, teams, sizeof(K));
+    if (!start_nodes.is_null()) {
+      for (int t = 0; t < teams; ++t) {
+        off[t] = (warp_base + t) * sizeof(std::uint32_t);
+      }
+      warp.RecordAccess(start_nodes, off, teams, sizeof(std::uint32_t));
+    }
+    warp.SharedAccessUniform(teams);
+    ChargeBitonic(warp, sorted.tile_stages, teams);
+    warp.SharedAccessUniform(teams);
+  }
+  for (int t = 0; t < teams; ++t) {
+    key[t] = rec[t].key;
+    index[t] = rec[t].index;
+    node[t] = start_nodes.is_null() ? root : rec[t].start;
+  }
+}
+
+/// Writes one warp's results: IndexedResult records at the sorted
+/// positions (`indexed`), or plain values back at the caller positions.
+inline void StoreResults(gpu::WarpScope& warp, gpu::DevicePtr results,
+                         bool indexed, std::uint32_t warp_base, int teams,
+                         const std::uint64_t* value,
+                         const std::uint32_t* index) {
+  std::uint64_t off[gpu::WarpScope::kWarpSize];
+  if (indexed) {
+    IndexedResult rec[gpu::WarpScope::kWarpSize];
+    for (int t = 0; t < teams; ++t) {
+      off[t] = (warp_base + t) * sizeof(IndexedResult);
+      rec[t] = IndexedResult{value[t], index[t]};
+    }
+    warp.Scatter(results, off, teams, rec);
+  } else {
+    for (int t = 0; t < teams; ++t) off[t] = index[t] * sizeof(std::uint64_t);
+    warp.Scatter(results, off, teams, value);
+  }
+}
+
+}  // namespace levelwise_internal
+
 /// Launch parameters for the implicit-tree inner search.
 template <typename K>
 struct ImplicitKernelParams {
@@ -46,6 +432,14 @@ struct ImplicitKernelParams {
   gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at node 0
   gpu::DevicePtr results;      // uint64[count]: leaf line index
   std::uint32_t count = 0;
+
+  // Level-wise launches only (RunImplicitInnerSearchLevelWise):
+  /// Results as IndexedResult[count] in sorted key order (the 12 B/query
+  /// wire format) instead of uint64[count] in caller order.
+  bool indexed_results = false;
+  /// levelwise_internal::SortScratchBytes<K>(count) bytes of device
+  /// scratch for the sort phase; null lets the launch allocate its own.
+  gpu::DevicePtr sort_scratch;
 };
 
 /// Runs the implicit inner-node search kernel; returns per-launch stats
@@ -138,14 +532,17 @@ gpu::KernelStats RunImplicitInnerSearch(gpu::Device& device,
 
 /// Level-wise variant of the implicit inner search (DESIGN.md §14).
 ///
-/// Expects the launch's queries in sorted key order. Teams whose node at
-/// the current level equals the previous team's node (a "run") reuse the
-/// leader's node line from shared memory instead of re-issuing the global
-/// gather — the batch loads each distinct node once per level, which is
-/// the FPGA batch-search idea mapped onto warps. The compute side (flag
-/// exchange, compare, clamp) is unchanged: every query is still resolved
+/// Takes the launch's queries in any order: the sort phase above first
+/// orders them by key inside the launch. Teams whose node at the current
+/// level equals the previous team's node (a "run") reuse the leader's
+/// node line from shared memory instead of re-issuing the global gather —
+/// the batch loads each distinct node once per level, which is the FPGA
+/// batch-search idea mapped onto warps. The search side (flag exchange,
+/// compare, clamp) is unchanged: every query is still resolved
 /// individually. Run boundaries carry across warps, so the per-level node
 /// loads equal the number of distinct start nodes in the whole launch.
+/// Results go out as IndexedResult records in sorted order, or (without
+/// `indexed_results`) as plain values back at the caller positions.
 template <typename K>
 gpu::KernelStats RunImplicitInnerSearchLevelWise(
     gpu::Device& device, const ImplicitKernelParams<K>& p) {
@@ -154,6 +551,9 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
   const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
   if (p.count == 0) return stats;
 
+  const auto sorted = levelwise_internal::SortLaunch<K>(
+      device, p.queries, p.start_nodes, p.count, p.sort_scratch, &stats);
+  const std::byte* nodes_host = device.HostView(p.nodes);
   stats.node_loads_by_level.assign(p.start_level + 1, 0);
   stats.node_queries_by_level.assign(p.start_level + 1, 0);
   // Run-leader carry across warps: the node the previous team visited at
@@ -170,24 +570,11 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
     gpu::WarpScope warp(&device, &stats, lanes);
 
     K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
+    std::uint32_t caller[gpu::WarpScope::kWarpSize];
     std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = 0;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
+    levelwise_internal::LoadSortedTeams(warp, sorted, p.queries,
+                                        p.start_nodes, /*root=*/0, warp_base,
+                                        teams, team_query, caller, node);
 
     for (int level = p.start_level; level >= 1; --level) {
       // Run leaders issue the node-line gather; followers reuse it.
@@ -217,8 +604,8 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
       for (int t = 0; t < teams; ++t) {
         const std::uint64_t node_byte =
             (p.level_offsets[level] + node[t]) * kCacheLineSize;
-        std::memcpy(&self_key[t * kTeam],
-                    device.HostView(p.nodes + node_byte), kTeam * sizeof(K));
+        std::memcpy(&self_key[t * kTeam], nodes_host + node_byte,
+                    kTeam * sizeof(K));
       }
 
       // Flag exchange + result, identical to the per-query kernel: the
@@ -245,11 +632,8 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
       stats.node_queries_by_level[level] += static_cast<std::uint64_t>(teams);
     }
 
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
-    }
-    warp.Scatter(p.results, roff, teams, node);
+    levelwise_internal::StoreResults(warp, p.results, p.indexed_results,
+                                     warp_base, teams, node, caller);
   }
   return stats;
 }
@@ -267,6 +651,10 @@ struct RegularKernelParams {
   gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at root
   gpu::DevicePtr results;      // uint64[count]: (last_inner << 16) | line
   std::uint32_t count = 0;
+
+  // Level-wise launches only; see ImplicitKernelParams.
+  bool indexed_results = false;
+  gpu::DevicePtr sort_scratch;
 };
 
 /// Packs/unpacks the regular kernel's intermediate result.
@@ -406,8 +794,8 @@ gpu::KernelStats RunRegularInnerSearch(gpu::Device& device,
 
 /// Level-wise variant of the regular-tree inner search (DESIGN.md §14).
 ///
-/// Same contract as RunImplicitInnerSearchLevelWise: the launch's queries
-/// arrive sorted, so consecutive teams sharing a node form a run. The run
+/// Same contract as RunImplicitInnerSearchLevelWise: the sort phase
+/// orders the launch, so consecutive teams sharing a node form a run. The run
 /// leader issues the global gathers (index line, key line, child ref);
 /// followers take the lines from shared memory. Key-line and child-ref
 /// gathers additionally dedupe on the selected line — queries of one run
@@ -427,6 +815,13 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
       kKeysBase + Shape::kFanout * sizeof(K);
   if (p.count == 0) return stats;
 
+  const auto sorted = levelwise_internal::SortLaunch<K>(
+      device, p.queries, p.start_nodes, p.count, p.sort_scratch, &stats);
+  auto host_view = [&device](gpu::DevicePtr ptr) -> const std::byte* {
+    return ptr.is_null() ? nullptr : device.HostView(ptr);
+  };
+  const std::byte* inner_host = host_view(p.inner_hot);
+  const std::byte* last_host = host_view(p.last_hot);
   stats.node_loads_by_level.assign(p.start_level + 1, 0);
   stats.node_queries_by_level.assign(p.start_level + 1, 0);
   // Cross-warp run carries: previous team's node, (node, key line) and
@@ -446,24 +841,11 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
     gpu::WarpScope warp(&device, &stats, lanes);
 
     K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
+    std::uint32_t caller[gpu::WarpScope::kWarpSize];
     std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = p.root;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
+    levelwise_internal::LoadSortedTeams(warp, sorted, p.queries,
+                                        p.start_nodes, p.root, warp_base,
+                                        teams, team_query, caller, node);
 
     std::uint64_t goff[gpu::WarpScope::kWarpSize];
     K lane_key[gpu::WarpScope::kWarpSize];
@@ -472,6 +854,7 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
     for (int level = p.start_level; level >= 1; --level) {
       const bool last = level == 1;
       const gpu::DevicePtr pool = last ? p.last_hot : p.inner_hot;
+      const std::byte* pool_host = last ? last_host : inner_host;
 
       // Step 1: index line — run leaders gather, followers broadcast.
       int gl = 0;
@@ -490,8 +873,7 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
       if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
       if (lanes - gl > 0) warp.SharedAccessUniform(lanes - gl);
       for (int t = 0; t < teams; ++t) {
-        std::memcpy(&lane_key[t * kTeam],
-                    device.HostView(pool + node[t] * kHotBytes),
+        std::memcpy(&lane_key[t * kTeam], pool_host + node[t] * kHotBytes,
                     kTeam * sizeof(K));
       }
       warp.SharedAccessUniform(lanes);
@@ -531,9 +913,8 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
       if (lanes - gl > 0) warp.SharedAccessUniform(lanes - gl);
       for (int t = 0; t < teams; ++t) {
         std::memcpy(&lane_key[t * kTeam],
-                    device.HostView(pool + node[t] * kHotBytes + kKeysBase +
-                                    static_cast<std::uint64_t>(s[t]) * kTeam *
-                                        sizeof(K)),
+                    pool_host + node[t] * kHotBytes + kKeysBase +
+                        static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K),
                     kTeam * sizeof(K));
       }
       warp.SharedAccessUniform(lanes);
@@ -575,22 +956,20 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
       for (int t = 0; t < teams; ++t) {
         K child_ref;
         std::memcpy(&child_ref,
-                    device.HostView(pool + node[t] * kHotBytes + kRefsBase +
-                                    static_cast<std::uint64_t>(line_result[t]) *
-                                        sizeof(K)),
+                    pool_host + node[t] * kHotBytes + kRefsBase +
+                        static_cast<std::uint64_t>(line_result[t]) * sizeof(K),
                     sizeof(K));
         node[t] = static_cast<std::uint64_t>(child_ref);
       }
     }
 
     std::uint64_t packed[gpu::WarpScope::kWarpSize];
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
     for (int t = 0; t < teams; ++t) {
       packed[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
                                    line_result[t]);
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
     }
-    warp.Scatter(p.results, roff, teams, packed);
+    levelwise_internal::StoreResults(warp, p.results, p.indexed_results,
+                                     warp_base, teams, packed, caller);
   }
   return stats;
 }

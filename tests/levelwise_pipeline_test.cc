@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/workload.h"
@@ -341,6 +342,301 @@ TEST(LevelWisePipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   for (const auto& cell : cells) touches += cell.touches;
   EXPECT_GT(touches, 0u);
   EXPECT_LT(touches, queries.size());
+}
+
+// ---------------------------------------------------------------------
+// Device-side bucket sort: the level-wise launch sorts its own (key,
+// caller index) records, so the pipeline stages buckets in caller order,
+// the CPU stage carries only the leaf search, and every result comes back
+// with its caller index.
+
+/// Hits with distinct values, misses, and a small pool of repeated keys
+/// (ties), interleaved in caller order.
+template <typename K>
+std::vector<K> TiedMixedQueries(const std::vector<KeyValue<K>>& data,
+                                std::size_t count, std::uint64_t seed) {
+  auto queries = MakeDistributedQueries<K>(count, Distribution::kUniform,
+                                           seed);  // ~all misses
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i % 3 == 0) queries[i] = data[(i * 7919) % data.size()].key;
+    if (i % 3 == 1) queries[i] = data[(i % 5) * 101].key;  // ties
+  }
+  return queries;
+}
+
+template <typename Tree, typename K>
+void ExpectEveryResultAnswersItsQuery(Tree& tree,
+                                      const std::vector<KeyValue<K>>& data,
+                                      const std::vector<K>& queries,
+                                      const PipelineConfig& config) {
+  std::unordered_map<K, K> oracle;
+  for (const auto& kv : data) oracle.emplace(kv.key, kv.value);
+  std::vector<LookupResult<K>> results;
+  RunSearchPipeline(tree, queries.data(), queries.size(), config, &results);
+  ASSERT_EQ(results.size(), queries.size());
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto it = oracle.find(queries[i]);
+    ASSERT_EQ(results[i].found, it != oracle.end()) << "query " << i;
+    if (it != oracle.end()) {
+      ASSERT_EQ(results[i].value, it->second) << "query " << i;
+      ++hits;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  if (queries.size() > 2) {
+    EXPECT_LT(hits, queries.size());
+  }
+}
+
+/// Bucket sizes at warp, tile and bucket edges: one full bucket of m plus
+/// a partial last bucket of s queries, with and without the Section 5.5
+/// split (D=1, R=0.5 — each launch sorts its own slice).
+template <typename Tree, typename K>
+void CheckPermutationAcrossBucketSizes(Tree& tree,
+                                       const std::vector<KeyValue<K>>& data) {
+  constexpr std::uint32_t kM = 512;  // above one sort tile: partition path
+  for (bool split : {false, true}) {
+    PipelineConfig config;
+    config.bucket_size = kM;
+    if (split) {
+      config.cpu_descend_levels = 1;
+      config.cpu_split_ratio = 0.5;
+      config.cpu_descend_us_per_level = 0.01;
+      config.buckets_in_flight = 3;
+    }
+    for (std::uint32_t s : {1u, 2u, 3u, 4u, 5u, 31u, 32u, 33u, kM - 1, kM}) {
+      SCOPED_TRACE(testing::Message() << "split=" << split << " s=" << s);
+      ExpectEveryResultAnswersItsQuery<Tree, K>(
+          tree, data, TiedMixedQueries<K>(data, s, /*seed=*/s), config);
+      ExpectEveryResultAnswersItsQuery<Tree, K>(
+          tree, data, TiedMixedQueries<K>(data, kM + s, /*seed=*/kM + s),
+          config);
+    }
+  }
+}
+
+TEST(LevelWisePermutation, ImplicitResultIAnswersQueryI) {
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config config;
+  HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/21);
+  ASSERT_TRUE(tree.Build(data));
+  CheckPermutationAcrossBucketSizes<HBImplicitTree<Key64>, Key64>(tree, data);
+}
+
+TEST(LevelWisePermutation, Implicit32ResultIAnswersQueryI) {
+  KernelFixture fx;
+  HBImplicitTree<Key32>::Config config;
+  HBImplicitTree<Key32> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key32>(100000, /*seed=*/22);
+  ASSERT_TRUE(tree.Build(data));
+  CheckPermutationAcrossBucketSizes<HBImplicitTree<Key32>, Key32>(tree, data);
+}
+
+TEST(LevelWisePermutation, RegularResultIAnswersQueryI) {
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/23);
+  ASSERT_TRUE(tree.Build(data));
+  CheckPermutationAcrossBucketSizes<HBRegularTree<Key64>, Key64>(tree, data);
+}
+
+TEST(LevelWisePermutation, SkewedBucketsAboveOneTile) {
+  // Zipf buckets: one key fills most of each launch, so the partition
+  // passes see equality buckets far above a tile.
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/24);
+  ASSERT_TRUE(tree.Build(data));
+  auto queries = MakeDistributedQueries<Key64>(10000, Distribution::kZipf,
+                                               /*seed=*/25);
+  for (std::size_t i = 0; i < queries.size(); i += 4) {
+    queries[i] = data[(i * 31) % data.size()].key;
+  }
+  PipelineConfig pipeline;
+  pipeline.bucket_size = 4096;
+  ExpectEveryResultAnswersItsQuery<HBRegularTree<Key64>, Key64>(
+      tree, data, queries, pipeline);
+}
+
+TEST(LevelWiseSortPhase, UnindexedLaunchWritesBackInCallerOrder) {
+  // Without the indexed wire format the launch scatters each result back
+  // to its caller position: the kernel alone answers unsorted input.
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config config;
+  HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/26);
+  ASSERT_TRUE(tree.Build(data));
+  constexpr std::uint32_t kCount = 3000;
+  auto queries = TiedMixedQueries<Key64>(data, kCount, /*seed=*/27);
+
+  gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
+  auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
+  RunImplicitInnerSearchLevelWise<Key64>(fx.device, params);
+  std::vector<std::uint64_t> results(kCount);
+  fx.transfer.CopyToHost(results.data(), r_dev,
+                         kCount * sizeof(std::uint64_t));
+  for (std::uint32_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(results[i], tree.host_tree().FindLeafLine(queries[i])) << i;
+  }
+}
+
+/// Small-bucket guard: serving buckets hold a handful of keys, so a
+/// one-warp launch must not pay device-memory traffic for the sort. For
+/// one warp, the level-wise kernel without a sort phase issues exactly the
+/// per-query kernel's gathers — each level's first team leads, and its
+/// followers share the leader's segments — so the per-query kernel on the
+/// same pre-sorted input is the reference for memory gathers,
+/// transactions and warps. The sort may add only ALU and shared memory.
+template <typename Tree, typename K, typename PerQuery, typename LevelWise>
+void ExpectOneWarpSortIsFree(Tree& tree, KernelFixture& fx,
+                             const std::vector<KeyValue<K>>& data,
+                             PerQuery per_query, LevelWise level_wise) {
+  for (std::uint32_t n = 1; n <= 4; ++n) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    std::vector<K> queries(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      queries[i] = data[(i * 977 + 13) % data.size()].key;
+    }
+    if (n == 4) queries[1] = queries[2];  // a tie
+    std::sort(queries.begin(), queries.end());
+
+    gpu::DevicePtr q_dev = fx.device.Malloc(n * sizeof(K));
+    gpu::DevicePtr r_dev = fx.device.Malloc(n * sizeof(std::uint64_t));
+    gpu::DevicePtr x_dev = fx.device.Malloc(n * sizeof(IndexedResult));
+    fx.transfer.CopyToDevice(q_dev, queries.data(), n * sizeof(K));
+    auto params = tree.MakeKernelParams(q_dev, r_dev, n);
+    const gpu::KernelStats base = per_query(fx.device, params);
+    params.results = x_dev;
+    params.indexed_results = true;
+    const gpu::KernelStats lw = level_wise(fx.device, params);
+
+    EXPECT_EQ(lw.warps_executed, 1u);
+    EXPECT_EQ(lw.warps_executed, base.warps_executed);
+    EXPECT_EQ(lw.memory_gathers, base.memory_gathers);
+    EXPECT_EQ(lw.memory_transactions, base.memory_transactions);
+    EXPECT_EQ(lw.dram_bytes + lw.l2_bytes, base.dram_bytes + base.l2_bytes);
+    EXPECT_GE(lw.warp_instructions, base.warp_instructions);
+    EXPECT_GE(lw.shared_accesses, base.shared_accesses);
+
+    std::vector<std::uint64_t> expect(n);
+    std::vector<IndexedResult> got(n);
+    fx.transfer.CopyToHost(expect.data(), r_dev, n * sizeof(std::uint64_t));
+    fx.transfer.CopyToHost(got.data(), x_dev, n * sizeof(IndexedResult));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // Copies: the wire record is packed, so its fields cannot bind to
+      // the references EXPECT_EQ takes.
+      const std::uint32_t index = got[i].index;
+      const std::uint64_t intermediate = got[i].intermediate;
+      EXPECT_EQ(index, i);
+      EXPECT_EQ(intermediate, expect[i]);
+    }
+    fx.device.Free(q_dev);
+    fx.device.Free(r_dev);
+    fx.device.Free(x_dev);
+  }
+}
+
+TEST(LevelWiseSortPhase, OneWarpLaunchAddsOnlyAluAndSharedImplicit) {
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config config;
+  HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/28);
+  ASSERT_TRUE(tree.Build(data));
+  ExpectOneWarpSortIsFree<HBImplicitTree<Key64>, Key64>(
+      tree, fx, data,
+      [](gpu::Device& d, const ImplicitKernelParams<Key64>& p) {
+        return RunImplicitInnerSearch<Key64>(d, p);
+      },
+      [](gpu::Device& d, const ImplicitKernelParams<Key64>& p) {
+        return RunImplicitInnerSearchLevelWise<Key64>(d, p);
+      });
+}
+
+TEST(LevelWiseSortPhase, OneWarpLaunchAddsOnlyAluAndSharedRegular) {
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/29);
+  ASSERT_TRUE(tree.Build(data));
+  ExpectOneWarpSortIsFree<HBRegularTree<Key64>, Key64>(
+      tree, fx, data,
+      [](gpu::Device& d, const RegularKernelParams<Key64>& p) {
+        return RunRegularInnerSearch<Key64>(d, p);
+      },
+      [](gpu::Device& d, const RegularKernelParams<Key64>& p) {
+        return RunRegularInnerSearchLevelWise<Key64>(d, p);
+      });
+}
+
+/// Regression guard for CPU-stage billing: without load balancing the
+/// CPU stage is the calibrated leaf search and nothing else (any per-key
+/// host charge lands on the pipeline's bottleneck stage: 0.004 us/key
+/// halves 16K-bucket throughput), and the kernel's node loads for a
+/// bucket staged in caller order equal the runs of the host-sorted
+/// bucket, level by level.
+template <typename Tree, typename DescendFn>
+void ExpectCpuStageIsLeafSearchOnly(Tree& tree,
+                                    const std::vector<KeyValue<Key64>>& data,
+                                    int height, DescendFn descend) {
+  auto queries = TiedMixedQueries<Key64>(data, 20000, /*seed=*/30);
+  PipelineConfig config;
+  config.bucket_size = 4096;       // 4 full buckets + one of 3616
+  config.cpu_queries_per_us = 0.5;  // exact in binary floating point
+  PipelineStats stats =
+      RunSearchPipeline(tree, queries.data(), queries.size(), config);
+  const double buckets = 5;
+  EXPECT_EQ(stats.t4_us * buckets, queries.size() / config.cpu_queries_per_us);
+  EXPECT_EQ(stats.sample_cpu_us * buckets,
+            queries.size() / config.cpu_queries_per_us);
+
+  // One unsorted bucket through the pipeline vs. the host-sorted runs.
+  std::vector<Key64> bucket(queries.begin(), queries.begin() + 4096);
+  PipelineStats one = RunSearchPipeline(tree, bucket.data(), bucket.size(),
+                                        config);
+  std::vector<Key64> sorted = bucket;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(one.kernel.node_loads_by_level.size(),
+            static_cast<std::size_t>(height) + 1);
+  for (int level = 1; level <= height; ++level) {
+    std::vector<std::uint64_t> nodes(sorted.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      nodes[i] = static_cast<std::uint64_t>(descend(sorted[i], height - level));
+    }
+    EXPECT_EQ(one.kernel.node_loads_by_level[level], CountRuns(nodes))
+        << "level " << level;
+  }
+}
+
+TEST(PipelineBilling, CpuStageIsLeafSearchOnlyImplicit) {
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config config;
+  HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(300000, /*seed=*/31);
+  ASSERT_TRUE(tree.Build(data));
+  const auto& host = tree.host_tree();
+  ExpectCpuStageIsLeafSearchOnly(tree, data, host.height(),
+                                 [&host](Key64 key, int depth) {
+                                   return host.DescendLevels(key, depth);
+                                 });
+}
+
+TEST(PipelineBilling, CpuStageIsLeafSearchOnlyRegular) {
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(300000, /*seed=*/32);
+  ASSERT_TRUE(tree.Build(data));
+  const auto& host = tree.host_tree();
+  ExpectCpuStageIsLeafSearchOnly(tree, data, host.height(),
+                                 [&host](Key64 key, int depth) {
+                                   return host.DescendLevels(key, depth);
+                                 });
 }
 
 }  // namespace
