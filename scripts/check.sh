@@ -16,7 +16,9 @@
 #   scripts/check.sh workloads  # + YCSB scenario matrix: run every
 #                               #   workload through the serving layer,
 #                               #   validate the reports, diff against
-#                               #   the BENCH_workloads/ baselines
+#                               #   the BENCH_workloads/ baselines, and
+#                               #   gate the cost-based routing win on
+#                               #   the small-bucket mixes
 #   scripts/check.sh qos        # + multi-tenant QoS gate: overload sweep
 #                               #   to 10x modelled capacity, per-tenant
 #                               #   metrics/exemplar validation, diff
@@ -64,9 +66,9 @@ run_tsan() {
   # targets keeps the pass affordable on small machines.
   cmake --build --preset tsan -j "$jobs" --target serve_stress_test \
       serve_shard_stress_test serve_fault_test serve_workload_test \
-      admission_queue_test metrics_test trace_export_test heat_test \
+      serve_route_test admission_queue_test metrics_test trace_export_test heat_test \
       levelwise_pipeline_test gapped_leaf_diff_test
-  (cd build-tsan && ctest -R 'serve_(stress|shard_stress|fault|workload)_test|admission_queue_test|metrics_test|trace_export_test|heat_test|levelwise_pipeline_test|gapped_leaf_diff_test' --output-on-failure)
+  (cd build-tsan && ctest -R 'serve_(stress|shard_stress|fault|workload|route)_test|admission_queue_test|metrics_test|trace_export_test|heat_test|levelwise_pipeline_test|gapped_leaf_diff_test' --output-on-failure)
 }
 
 run_shard() {
@@ -140,6 +142,24 @@ run_workloads() {
   # Default flags reproduce the checked-in baselines' workloads exactly
   # (bench_compare.py's meta check enforces scenario/mix/seed identity).
   ./build/bench/ycsb_workloads --out_dir=build/WORKLOADS
+  # Cost-based bucket routing (DESIGN.md §9): the blocking small-bucket
+  # mixes must model >= 10x their GPU-only capacity (0.606M / 0.797M
+  # modelled ops/s) by serving their 1-2 key buckets on the CPU, while
+  # the read-only mix's full buckets keep the GPU pipeline.
+  python3 -c "
+import json
+def load(s):
+    return json.load(open('build/WORKLOADS/%s.json' % s))
+for s, floor in (('rmw_heavy', 10 * 0.606e6), ('ycsb_f', 10 * 0.797e6)):
+    m = load(s)['rows'][0]['modelled_ops_per_s']
+    assert m >= floor, '%s: modelled %.3gM ops/s < %.3gM' % (
+        s, m / 1e6, floor / 1e6)
+    print('%s: modelled %.3gM ops/s (floor %.3gM)' % (s, m / 1e6, floor / 1e6))
+cpu = load('rmw_heavy')['metrics']['counters'].get('serve.route.cpu_buckets', 0)
+gpu = load('ycsb_c')['metrics']['counters'].get('serve.route.gpu_buckets', 0)
+assert cpu > 0, 'rmw_heavy routed no bucket to the CPU'
+assert gpu > 0, 'ycsb_c routed no bucket to the GPU'
+print('route: rmw_heavy %d cpu buckets, ycsb_c %d gpu buckets' % (cpu, gpu))"
   for base in BENCH_workloads/*.json; do
     cand="build/WORKLOADS/$(basename "$base")"
     python3 scripts/validate_metrics.py \

@@ -233,6 +233,46 @@ HbCpuRates CalibrateHbCpuRates(const RegularBTree<K>& tree,
   return rates;
 }
 
+/// Modelled single-thread costs of a full search, all from ONE traced
+/// pass at depth 1 (re-estimated, not re-traced, at the pipelined
+/// depth): what the serving layer charges a bucket served on the CPU
+/// and an update query.
+struct SingleThreadCosts {
+  double search_us_per_key = 0;  // software-pipelined at pipeline_depth
+  double search_latency_us = 0;  // one lone search (depth 1)
+  double update_us = 0;          // see EstimateUpdateCostUs
+};
+
+/// `tree` is any tree exposing `Search(key, Tracer*)` and
+/// `config().search_algo`; `pipeline_depth` is the software-pipelining
+/// depth the per-key cost is estimated at.
+template <typename Tree, typename K>
+SingleThreadCosts EstimateSingleThreadCosts(const Tree& tree,
+                                            const std::vector<K>& probe_keys,
+                                            const sim::PlatformSpec& platform,
+                                            const PageRegistry& registry,
+                                            int pipeline_depth,
+                                            const ModelOptions& options = {}) {
+  const NodeSearchAlgo algo = tree.config().search_algo;
+  ModelOptions single = options;
+  single.threads = 1;
+  single.pipeline_depth = 1;  // updates are dependent, not pipelined
+  const SearchMeasurement m =
+      MeasureCpuSearch(tree, probe_keys, platform, registry, algo, single);
+  single.pipeline_depth = pipeline_depth;
+  const sim::CpuEstimate pipelined = sim::EstimateCpuThroughput(
+      platform.cpu, m.profile,
+      calibrate_internal::MakeParams(platform, algo, single));
+  SingleThreadCosts costs;
+  costs.search_us_per_key = 1.0 / pipelined.mqps;
+  costs.search_latency_us = 1.0 / m.estimate.mqps;
+  // An update pays the search plus roughly half a leaf-line rewrite; the
+  // factor matches the paper's observation that updates run close to
+  // (but below) search speed.
+  costs.update_us = 1.3 / m.estimate.mqps;
+  return costs;
+}
+
 /// Modelled single-thread cost of one update query (inner descent + leaf
 /// edit), µs — feeds the Section 5.6 update experiments.
 template <typename K>
@@ -241,16 +281,9 @@ double EstimateUpdateCostUs(const RegularBTree<K>& tree,
                             const sim::PlatformSpec& platform,
                             const PageRegistry& registry,
                             const ModelOptions& options = {}) {
-  ModelOptions single = options;
-  single.threads = 1;
-  single.pipeline_depth = 1;  // updates are dependent, not pipelined
-  SearchMeasurement m = MeasureCpuSearch(tree, probe_keys, platform,
-                                         registry,
-                                         tree.config().search_algo, single);
-  // An update pays the search plus roughly half a leaf-line rewrite; the
-  // factor matches the paper's observation that updates run close to
-  // (but below) search speed.
-  return 1.3 / m.estimate.mqps;
+  return EstimateSingleThreadCosts(tree, probe_keys, platform, registry, 1,
+                                   options)
+      .update_us;
 }
 
 /// Streaming-bandwidth model of the implicit tree's rebuild phases

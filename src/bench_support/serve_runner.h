@@ -10,8 +10,9 @@
 
 namespace hbtree::bench {
 
-/// Builds ServerOptions with the pipeline's CPU rates calibrated for
-/// `data` on `platform` — the serve-layer analogue of HbBench's setup.
+/// Builds ServerOptions with the pipeline's CPU rates and the CPU-route
+/// search costs calibrated for `data` on `platform` — the serve-layer
+/// analogue of HbBench's setup.
 /// A throwaway host tree is built once for calibration; the server then
 /// builds its own snapshot pair from the same data.
 template <typename K>
@@ -33,8 +34,11 @@ serve::ServerOptions CalibratedServerOptions(
   options.pipeline.cpu_queries_per_us = rates.leaf_queries_per_us;
   options.pipeline.cpu_descend_us_per_level = rates.descend_us_per_level;
   options.pipeline.cpu_descend_us_by_depth = rates.descend_us_by_depth;
-  options.update.cpu_update_us =
-      EstimateUpdateCostUs(tree, queries, platform, registry);
+  const SingleThreadCosts costs = EstimateSingleThreadCosts(
+      tree, queries, platform, registry, options.cpu_fallback_depth);
+  options.update.cpu_update_us = costs.update_us;
+  options.cpu_search_us_per_key = costs.search_us_per_key;
+  options.cpu_search_latency_us = costs.search_latency_us;
   return options;
 }
 

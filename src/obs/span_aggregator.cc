@@ -9,9 +9,9 @@ namespace hbtree::obs {
 namespace {
 
 /// Canonical pipeline order for emitted waterfalls.
-constexpr std::array<const char*, 8> kStageOrder = {
-    "admission_wait", "fill_window", "pre_descend", "h2d",
-    "kernel",         "d2h",         "merge",       "commit",
+constexpr std::array<const char*, 9> kStageOrder = {
+    "admission_wait", "fill_window", "pre_descend", "h2d",    "kernel",
+    "d2h",            "merge",       "route_cpu",   "commit",
 };
 
 int StageRank(const std::string& stage) {
@@ -63,7 +63,7 @@ const char* SpanAggregator::StageForSpan(const char* span_name) {
       {"update.fill", "fill_window"},   {"bucket.pre_descend", "pre_descend"},
       {"bucket.h2d", "h2d"},            {"bucket.kernel", "kernel"},
       {"bucket.d2h", "d2h"},            {"bucket.cpu_leaf", "merge"},
-      {"update.commit", "commit"},
+      {"bucket.route_cpu", "route_cpu"}, {"update.commit", "commit"},
   };
   for (const Mapping& m : kMap) {
     if (std::strcmp(span_name, m.span) == 0) return m.stage;

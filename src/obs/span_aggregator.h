@@ -33,8 +33,8 @@ struct StageGroup {
 /// through the serving pipeline, aggregated and split per shard/slot.
 struct StageWaterfall {
   /// Aggregate breakdown in pipeline order (admission_wait → fill_window
-  /// → pre_descend → h2d → kernel → d2h → merge → commit); stages with
-  /// no samples are omitted.
+  /// → pre_descend → h2d → kernel → d2h → merge → route_cpu → commit);
+  /// stages with no samples are omitted.
   std::vector<std::pair<std::string, StageStats>> stages;
   std::vector<StageGroup> groups;
   double total_us = 0;  // sum over aggregate stages
@@ -45,8 +45,9 @@ struct StageWaterfall {
 /// Folds trace spans into StageWaterfalls. The span → stage mapping is
 /// by span name: queue.wait → admission_wait, bucket.fill/update.fill →
 /// fill_window, the model resource spans → their stage (bucket.cpu_leaf
-/// is the merge stage: leaf search + result merge on the CPU), and
-/// update.commit → commit. Spans that are not stages (dispatch envelopes,
+/// is the merge stage: leaf search + result merge on the CPU),
+/// bucket.route_cpu → route_cpu (a bucket the cost-based route served
+/// with the CPU search instead), and update.commit → commit. Spans that are not stages (dispatch envelopes,
 /// breaker instants, snapshot publishes) are ignored.
 ///
 /// Feed it manually with Add() (tests), or fold a whole stopped

@@ -25,6 +25,7 @@ std::string ServeStats::ToString() const {
       "retries %llu/%llu/%llu (transfer/kernel/sync)\n"
       "  breaker: %llu opens, %llu closes, %llu probes; cpu fallback "
       "%llu buckets / %llu lookups\n"
+      "  route: %llu gpu / %llu cpu buckets\n"
       "  shed: %llu reads, %llu updates (%.2f%% of resolved ops; %llu "
       "degraded low-priority)\n"
       "  adaptive bucket: %llu shrinks, %llu grows",
@@ -57,6 +58,8 @@ std::string ServeStats::ToString() const {
       static_cast<unsigned long long>(probe_attempts),
       static_cast<unsigned long long>(cpu_fallback_buckets),
       static_cast<unsigned long long>(cpu_fallback_lookups),
+      static_cast<unsigned long long>(route_gpu_buckets),
+      static_cast<unsigned long long>(route_cpu_buckets),
       static_cast<unsigned long long>(shed_reads),
       static_cast<unsigned long long>(shed_updates), shed_ratio() * 100.0,
       static_cast<unsigned long long>(degraded_sheds),

@@ -140,9 +140,19 @@ struct ServeStats {
   std::uint64_t probe_attempts = 0;
 
   // Degraded-mode serving: buckets answered by the CPU-only pipelined
-  // search instead of the heterogeneous pipeline.
+  // search instead of the heterogeneous pipeline because the GPU path
+  // failed or the breaker was open.
   std::uint64_t cpu_fallback_buckets = 0;
   std::uint64_t cpu_fallback_lookups = 0;
+
+  // Cost-based routing on healthy slots (DESIGN.md §9): buckets sent to
+  // the GPU pipeline, and buckets served by the CPU search because its
+  // modelled price undercut the GPU round trip's lower bound. Buckets
+  // dispatched while the breaker is open are not routed (they count as
+  // fallback only); a GPU-routed bucket whose device attempt fails
+  // counts in both.
+  std::uint64_t route_gpu_buckets = 0;
+  std::uint64_t route_cpu_buckets = 0;
 
   // Total faults the armed injectors produced (all sites, both slots).
   std::uint64_t faults_injected = 0;

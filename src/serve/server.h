@@ -39,6 +39,7 @@
 #include "serve/admission_queue.h"
 #include "serve/fair_queue.h"
 #include "serve/latency_histogram.h"
+#include "serve/route.h"
 #include "serve/serve_stats.h"
 #include "serve/snapshot.h"
 #include "serve/tenant.h"
@@ -255,6 +256,19 @@ struct ServerOptions {
   /// Software-pipelining depth for the CPU-only degraded path (16 is the
   /// paper's optimum, Figure 7).
   int cpu_fallback_depth = 16;
+
+  // -- Bucket routing (DESIGN.md §9) -----------------------------------------
+
+  /// Modelled single-thread full-search cost on the platform CPU, µs per
+  /// key: at cpu_fallback_depth (`cpu_search_us_per_key`) and at depth 1
+  /// (`cpu_search_latency_us`). A bucket of n keys served by one read
+  /// worker's PipelinedSearch is charged max(n x per_key, latency); on a
+  /// healthy slot a bucket whose charge is below the GPU pipeline's
+  /// modelled lower bound is routed to the CPU. Both come from
+  /// calibration (bench_support/serve_runner.h); 0 (uncalibrated) never
+  /// routes to the CPU and charges nothing for degraded-mode buckets.
+  double cpu_search_us_per_key = 0;
+  double cpu_search_latency_us = 0;
 
   /// Default per-request deadline budget; zero means no deadline. A
   /// request whose deadline passes before it is dispatched resolves with
@@ -579,6 +593,8 @@ class Server {
     stats.probe_attempts = probe_attempts_.value();
     stats.cpu_fallback_buckets = cpu_fallback_buckets_.value();
     stats.cpu_fallback_lookups = cpu_fallback_lookups_.value();
+    stats.route_gpu_buckets = route_gpu_buckets_.value();
+    stats.route_cpu_buckets = route_cpu_buckets_.value();
     for (const auto& shard : shards_) {
       stats.faults_injected += shard->slot_a.injector.total_injected() +
                                shard->slot_b.injector.total_injected();
@@ -812,12 +828,12 @@ class Server {
 
   /// What a bucket dispatch reports back for latency attribution: the
   /// trace identity of its `bucket.dispatch` span (0 when tracing is off
-  /// or inactive) and the modelled device time the bucket was charged —
-  /// the fields tail exemplars carry (see obs::Exemplar).
+  /// or inactive) and the modelled time the bucket was charged (GPU
+  /// pipeline or CPU search) — the fields tail exemplars carry (see
+  /// obs::Exemplar).
   struct DispatchInfo {
     std::uint64_t span_id = 0;
     double modelled_us = 0;
-    bool cpu_fallback = false;
   };
 
   /// Hot-path handles into the tenant's serve.tenant<T>.* metric series,
@@ -848,6 +864,8 @@ class Server {
 
     // Per-shard metric handles (serve.shard<N>.*), bound in Init.
     obs::Counter* read_buckets = nullptr;
+    obs::Counter* route_gpu_buckets = nullptr;
+    obs::Counter* route_cpu_buckets = nullptr;
     obs::Counter* update_batches = nullptr;
     obs::Counter* breaker_opens = nullptr;
     obs::Counter* shed_reads = nullptr;
@@ -1024,6 +1042,10 @@ class Server {
       const int i = shard->index;
       shard->read_buckets = &metrics_.counter(
           obs::MetricsRegistry::ShardedName("serve", i, "read_buckets"));
+      shard->route_gpu_buckets = &metrics_.counter(
+          obs::MetricsRegistry::ShardedName("serve", i, "route.gpu_buckets"));
+      shard->route_cpu_buckets = &metrics_.counter(
+          obs::MetricsRegistry::ShardedName("serve", i, "route.cpu_buckets"));
       shard->update_batches = &metrics_.counter(
           obs::MetricsRegistry::ShardedName("serve", i, "update_batches"));
       shard->breaker_opens = &metrics_.counter(
@@ -1317,27 +1339,7 @@ class Server {
     // their node touches and modelled accesses into the shard's heat
     // tracers (one mutex acquisition per stage loop, see PipelineHeat).
     HBTREE_HEAT_ONLY(config.heat = shard.heat_pipeline.get();)
-    // Effective depth shrinks for partial buckets so each sub-bucket keeps
-    // at least min_sub_bucket keys (per-launch setup does not amortize
-    // below that); full buckets still split pipeline_depth ways.
-    const int depth = std::clamp(
-        static_cast<int>(keys.size() /
-                         std::max(1, options_.min_sub_bucket)),
-        1, std::max(1, options_.pipeline_depth));
-    if (depth > 1) {
-      // Split the batch actually dispatched, not the configured bucket
-      // size: partial admission buckets (shipped by max_batch_delay)
-      // would otherwise fit in one sub-bucket and lose the overlap.
-      const int target = static_cast<int>(
-          (keys.size() + static_cast<std::size_t>(depth) - 1) /
-          static_cast<std::size_t>(depth));
-      config.bucket_size = std::max(
-          1, std::min(options_.pipeline.bucket_size, target));
-    } else {
-      config.bucket_size = std::max(
-          1, std::min(options_.pipeline.bucket_size,
-                      static_cast<int>(keys.size())));
-    }
+    config.bucket_size = SubBucketSize(keys.size());
     const Status status =
         TryRunSearchPipeline(slot.tree, keys.data(), keys.size(),
                              config, results, &ps);
@@ -1365,9 +1367,36 @@ class Server {
     return TryGpuBucket(shard, slot, keys, results, info);
   }
 
-  /// Serves one bucket of point lookups, always filling `results`: the
-  /// GPU pipeline when the slot's breaker is closed and its mirror is
-  /// fresh, the CPU-only pipelined search otherwise. Correctness rule: a
+  /// Pipeline bucket size of one GPU dispatch of `n` keys (see
+  /// GpuSubBucketSize).
+  int SubBucketSize(std::size_t n) const {
+    return GpuSubBucketSize(options_.pipeline.bucket_size,
+                            options_.pipeline_depth, options_.min_sub_bucket,
+                            n);
+  }
+
+  /// Serves a bucket with one read worker's software-pipelined CPU
+  /// search over the pinned snapshot's host tree, which is always
+  /// complete, and charges its modelled price `us` to the shard's
+  /// pipeline clock. The per-shard makespan stays serial (no overlap
+  /// credit with the shard's device work), which is conservative.
+  void ServeOnCpu(Shard& shard, TreeSlot& slot, const std::vector<K>& keys,
+                  double us, std::vector<LookupResult<K>>* results,
+                  DispatchInfo* info) {
+    PipelinedSearch(slot.tree.host_tree(), keys.data(), keys.size(),
+                    options_.cpu_fallback_depth, results->data());
+    if (info != nullptr) info->modelled_us = us;
+    std::lock_guard<std::mutex> lock(sim_mutex_);
+    sim_pipeline_us_ += us;
+    shard.sim_pipeline_us += us;
+  }
+
+  /// Serves one bucket of point lookups, always filling `results`. On a
+  /// healthy slot (breaker closed, mirror fresh) the bucket is routed by
+  /// modelled cost: the CPU search when its price is below the GPU
+  /// pipeline's lower bound (small buckets, see serve/route.h), the GPU
+  /// pipeline otherwise. An unhealthy slot serves on the CPU (degraded
+  /// mode) apart from periodic recovery probes. Correctness rule: a
   /// stale mirror (failed sync) must never serve GPU lookups — it would
   /// silently return pre-update results.
   void DispatchBucket(Shard& shard, TreeSlot& slot,
@@ -1385,7 +1414,23 @@ class Server {
       OpenBreaker(shard, slot);
     }
 
+    const double cpu_us = CpuBucketUs(options_.cpu_search_us_per_key,
+                                      options_.cpu_search_latency_us,
+                                      keys.size());
     if (!slot.breaker_open.load(std::memory_order_relaxed)) {
+      const double gpu_us = GpuBucketLowerBoundUs<K>(
+          slot.tree.transfer(), slot.tree.device().spec(), options_.pipeline,
+          keys.size(), static_cast<std::size_t>(SubBucketSize(keys.size())));
+      if (RouteToCpu(cpu_us, gpu_us)) {
+        HBTREE_TRACE_SPAN_ARG("bucket.route_cpu", "serve", "keys",
+                              static_cast<double>(keys.size()));
+        route_cpu_buckets_.Increment();
+        shard.route_cpu_buckets->Increment();
+        ServeOnCpu(shard, slot, keys, cpu_us, results, info);
+        return;
+      }
+      route_gpu_buckets_.Increment();
+      shard.route_gpu_buckets->Increment();
       bool ok;
       {
         std::shared_lock<std::shared_mutex> lock(slot.gpu_mutex);
@@ -1418,12 +1463,10 @@ class Server {
 
     // Degraded mode: the host tree is complete, so the software-pipelined
     // CPU search answers the bucket exactly — reduced throughput, same
-    // results.
-    PipelinedSearch(slot.tree.host_tree(), keys.data(), keys.size(),
-                    options_.cpu_fallback_depth, results->data());
+    // results, the same modelled price as a CPU-routed bucket.
+    ServeOnCpu(shard, slot, keys, cpu_us, results, info);
     cpu_fallback_buckets_.Increment();
     cpu_fallback_lookups_.Add(keys.size());
-    if (info != nullptr) info->cpu_fallback = true;
   }
 
   void ReadLoop(Shard& shard, int worker_index) {
@@ -2002,6 +2045,10 @@ class Server {
       metrics_.counter("serve.cpu_fallback_buckets");
   obs::Counter& cpu_fallback_lookups_ =
       metrics_.counter("serve.cpu_fallback_lookups");
+  obs::Counter& route_gpu_buckets_ =
+      metrics_.counter("serve.route.gpu_buckets");
+  obs::Counter& route_cpu_buckets_ =
+      metrics_.counter("serve.route.cpu_buckets");
 
   /// Burn-rate accounting over options_.slos, fed one window per
   /// reporter tick plus the final window at Shutdown().

@@ -7,8 +7,10 @@
 #include "bench_support/calibrate.h"
 #include "bench_support/harness.h"
 #include "bench_support/report.h"
+#include "bench_support/serve_runner.h"
 #include "bench_support/table.h"
 #include "cpubtree/implicit_btree.h"
+#include "cpubtree/regular_btree.h"
 
 namespace hbtree::bench {
 namespace {
@@ -84,6 +86,75 @@ TEST(Calibrate, LeafRateExceedsFullSearchRate) {
     EXPECT_GT(rates.descend_us_by_depth[d],
               rates.descend_us_by_depth[d - 1]);
   }
+}
+
+// Forwards to a tree and counts the traced searches calibration runs.
+struct CountingTree {
+  const RegularBTree<Key64>& tree;
+  mutable std::size_t searches = 0;
+
+  const RegularBTree<Key64>::Config& config() const { return tree.config(); }
+  template <typename Tracer>
+  LookupResult<Key64> Search(Key64 key, Tracer* tracer) const {
+    ++searches;
+    return tree.Search(key, tracer);
+  }
+};
+
+TEST(Calibrate, SingleThreadCostsShareOneTracedPass) {
+  const sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  PageRegistry registry;
+  RegularBTree<Key64>::Config config;
+  config.leaf_fill = 0.7;
+  RegularBTree<Key64> tree(config, &registry);
+  const auto data = GenerateDataset<Key64>(1 << 16, 5);
+  tree.Build(data);
+  const auto queries = MakeLookupQueries(data, 6);
+  ModelOptions options;
+  options.warmup = 4096;
+  options.measured = 8192;
+
+  CountingTree counting{tree};
+  const SingleThreadCosts costs = EstimateSingleThreadCosts(
+      counting, queries, platform, registry, 16, options);
+  // One warmed, measured pass — the pipelined cost is re-estimated from
+  // the same profile, not traced again.
+  EXPECT_EQ(counting.searches, options.warmup + options.measured);
+
+  // The update cost is bit-identical to the single-trace depth-1 formula
+  // it has always been.
+  ModelOptions single = options;
+  single.threads = 1;
+  single.pipeline_depth = 1;
+  const SearchMeasurement m = MeasureCpuSearch(
+      tree, queries, platform, registry, config.search_algo, single);
+  EXPECT_EQ(costs.update_us, 1.3 / m.estimate.mqps);
+  EXPECT_EQ(costs.search_latency_us, 1.0 / m.estimate.mqps);
+  EXPECT_EQ(EstimateUpdateCostUs(tree, queries, platform, registry, options),
+            costs.update_us);
+  // Software pipelining hides miss latency: cheaper per key than a lone
+  // search.
+  EXPECT_GT(costs.search_us_per_key, 0);
+  EXPECT_LT(costs.search_us_per_key, costs.search_latency_us);
+}
+
+TEST(Calibrate, ServerOptionsCarryTheSingleThreadCosts) {
+  const sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  const auto data = GenerateDataset<Key64>(1 << 16, 7);
+  const serve::ServerOptions options =
+      CalibratedServerOptions(platform, data, 8);
+  PageRegistry registry;
+  RegularBTree<Key64>::Config config;
+  config.leaf_fill = options.leaf_fill;
+  RegularBTree<Key64> tree(config, &registry);
+  tree.Build(data);
+  const auto queries = MakeLookupQueries(data, 8);
+  EXPECT_EQ(options.update.cpu_update_us,
+            EstimateUpdateCostUs(tree, queries, platform, registry));
+  const SingleThreadCosts costs = EstimateSingleThreadCosts(
+      tree, queries, platform, registry, options.cpu_fallback_depth);
+  EXPECT_EQ(options.cpu_search_us_per_key, costs.search_us_per_key);
+  EXPECT_EQ(options.cpu_search_latency_us, costs.search_latency_us);
 }
 
 TEST(BenchReport, RowsKeepInsertionOrderInJson) {

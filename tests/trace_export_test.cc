@@ -240,6 +240,25 @@ TEST_F(TraceTest, SpanAggregatorBuildsStageWaterfalls) {
   EXPECT_TRUE(saw_slot);
 }
 
+TEST_F(TraceTest, CpuRoutedBucketsFoldIntoTheRouteCpuStage) {
+  HBTREE_TRACE_THREAD_NAME("serve.shard1.read0");
+  HBTREE_TRACE_COMPLETE("bucket.route_cpu", "serve", 5.0, 2.0, "keys", 1);
+  HBTREE_TRACE_COMPLETE("update.commit", "serve", 7.0, 6.0, "ops", 1);
+  HBTREE_TRACE_MODEL_SPAN(0, kTrackCpuLeaf, "bucket.cpu_leaf", 0.0, 2.0,
+                          "bucket", 0);
+  TraceSession::Stop();
+
+  const StageWaterfall w = SpanAggregator::FromSession();
+  std::vector<std::string> order;
+  for (const auto& [stage, stats] : w.stages) order.push_back(stage);
+  const std::vector<std::string> expected = {"merge", "route_cpu",
+                                             "commit"};
+  EXPECT_EQ(order, expected);
+  EXPECT_DOUBLE_EQ(w.stages[1].second.total_us, 2.0);
+  ASSERT_FALSE(w.groups.empty());
+  EXPECT_EQ(w.groups[0].name, "shard1");
+}
+
 TEST_F(TraceTest, NothingRecordsWhileStopped) {
   TraceSession::Stop();
   {
