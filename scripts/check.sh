@@ -27,9 +27,10 @@
 #                               #   zipfian/hotspot/uniform runs, heat
 #                               #   section validation, hot-range
 #                               #   attribution assertions
-#   scripts/check.sh fastpath   # + hot-path gate: level-wise dispatch
-#                               #   reconciliation and gapped-leaf
-#                               #   differential tests, a serve run
+#   scripts/check.sh fastpath   # + hot-path gate: kernel golden stats,
+#                               #   kernel/range/level-wise dispatch
+#                               #   tests, the gapped-leaf
+#                               #   differential test, a serve run
 #                               #   whose heat.kernel block must show the
 #                               #   per-level dedup actually collapsing,
 #                               #   and the Fig 12 paper-figure gate
@@ -282,13 +283,16 @@ run_fastpath() {
   echo "==> fast-path gate (level-wise dispatch + gapped leaves + delta sync)"
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$jobs" \
-      --target levelwise_pipeline_test gapped_leaf_diff_test serve_throughput \
+      --target levelwise_pipeline_test gapped_leaf_diff_test gpu_kernels_test \
+      range_pipeline_test kernel_stats_golden_test serve_throughput \
       fig12_distributions
-  # The C++ side: exact reconciliation of per-level kernel node loads
-  # against host-replayed descents, pipeline answer equivalence with the
-  # dispatch on/off, the gapped-leaf differential suite, and the
+  # The C++ side: the merged kernel's exact golden KernelStats in both
+  # modes, kernel-vs-host answers, exact reconciliation of per-level
+  # kernel node loads against host-replayed descents, lookup and range
+  # answer equivalence across the kernel's two modes (and the
+  # load-balancer split), the gapped-leaf differential suite, and the
   # delta-sync fault fallback.
-  (cd build && ctest -R '(levelwise_pipeline|gapped_leaf_diff)_test' --output-on-failure)
+  (cd build && ctest -R '(levelwise_pipeline|gapped_leaf_diff|gpu_kernels|range_pipeline|kernel_stats_golden)_test' --output-on-failure)
   # End to end: a serve run at the baseline workload must emit a
   # heat.kernel block whose per-level loads sit in [1, queries] and whose
   # totals collapse strictly below one-load-per-query — the level-wise

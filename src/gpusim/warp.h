@@ -26,7 +26,8 @@ struct KernelStats {
   /// level: `node_loads_by_level[l]` counts the distinct inner nodes the
   /// launch actually loaded from device memory at level l (one per run of
   /// sorted queries sharing a node), `node_queries_by_level[l]` the
-  /// queries resolved there. Empty for per-query kernels.
+  /// queries resolved there. Filled in both kernel modes: a per-query
+  /// launch loads one node per query at every level.
   std::vector<std::uint64_t> node_loads_by_level;
   std::vector<std::uint64_t> node_queries_by_level;
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/macros.h"
@@ -48,9 +49,9 @@ struct PipelineConfig {
   /// Level-wise batch dispatch (DESIGN.md §14): the kernel sorts each
   /// launch by key on the device, so that runs of queries sharing an inner
   /// node resolve with one modelled node load per level instead of one
-  /// per query. Applies to tree variants with a level-wise kernel
-  /// (implicit, regular); others keep the per-query launch. Results are
-  /// written back in the caller's original query order either way.
+  /// per query. Applies to tree variants whose kernel has a level-wise
+  /// mode (implicit, regular); others keep the per-query launch. Results
+  /// are written back in the caller's original query order either way.
   bool level_wise = true;
 
   // -- Load balancing (Section 5.5). Defaults = all inner levels on GPU. --
@@ -230,7 +231,8 @@ class Scheduler {
 };
 
 /// Tree-variant adapters: how to pre-descend on the CPU, launch the GPU
-/// kernel, and finish a query from its intermediate result.
+/// kernel, and finish a query from its intermediate result (a lookup's
+/// leaf search or, for range queries, a leaf-chain scan).
 /// Forwards a stage's heat tracer into the host tree when its traversal
 /// entry point accepts one; trees without a traced overload silently run
 /// untraced (their traffic shows up only in the modelled stage times).
@@ -259,41 +261,28 @@ struct ImplicitAdapter {
 
   static gpu::KernelStats Launch(Tree& tree, gpu::DevicePtr queries,
                                  gpu::DevicePtr results, std::uint32_t count,
-                                 int start_level,
-                                 gpu::DevicePtr start_nodes) {
+                                 int start_level, gpu::DevicePtr start_nodes,
+                                 bool level_wise,
+                                 gpu::DevicePtr sort_scratch) {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
+    params.level_wise = level_wise;
+    params.sort_scratch = sort_scratch;
     return RunImplicitInnerSearch<K>(tree.device(), params);
   }
 
-  static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
-                                          gpu::DevicePtr results,
-                                          std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes,
-                                          gpu::DevicePtr sort_scratch) {
-    auto params = tree.MakeKernelParams(queries, results, count, start_level,
-                                        start_nodes);
-    params.indexed_results = true;
-    params.sort_scratch = sort_scratch;
-    return RunImplicitInnerSearchLevelWise<K>(tree.device(), params);
+  template <typename Tracer = NullTracer>
+  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+                                K query, Tracer* tracer = nullptr) {
+    return tree.host_tree().SearchLeafLine(intermediate, query, tracer);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
-                                K query) {
-    return tree.host_tree().SearchLeafLine(intermediate, query);
-  }
-
-  template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
-                                K query, Tracer* tracer) {
-    if constexpr (requires {
-                    tree.host_tree().SearchLeafLine(intermediate, query,
-                                                    tracer);
-                  }) {
-      return tree.host_tree().SearchLeafLine(intermediate, query, tracer);
-    } else {
-      return Finish(tree, intermediate, query);
-    }
+  template <typename Tracer = NullTracer>
+  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
+                  int max_matches, KeyValue<K>* out,
+                  Tracer* tracer = nullptr) {
+    return tree.host_tree().ScanLeaves(intermediate, first_key, max_matches,
+                                       out, tracer);
   }
 };
 
@@ -310,38 +299,34 @@ struct RegularAdapter {
 
   static gpu::KernelStats Launch(Tree& tree, gpu::DevicePtr queries,
                                  gpu::DevicePtr results, std::uint32_t count,
-                                 int start_level,
-                                 gpu::DevicePtr start_nodes) {
+                                 int start_level, gpu::DevicePtr start_nodes,
+                                 bool level_wise,
+                                 gpu::DevicePtr sort_scratch) {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
+    params.level_wise = level_wise;
+    params.sort_scratch = sort_scratch;
     return RunRegularInnerSearch<K>(tree.device(), params);
   }
 
-  static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
-                                          gpu::DevicePtr results,
-                                          std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes,
-                                          gpu::DevicePtr sort_scratch) {
-    auto params = tree.MakeKernelParams(queries, results, count, start_level,
-                                        start_nodes);
-    params.indexed_results = true;
-    params.sort_scratch = sort_scratch;
-    return RunRegularInnerSearchLevelWise<K>(tree.device(), params);
+  static typename RegularBTree<K>::LeafPosition Position(
+      std::uint64_t intermediate) {
+    return {UnpackLeafNode(intermediate), UnpackLeafLine(intermediate)};
   }
 
+  template <typename Tracer = NullTracer>
   static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
-                                K query) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().SearchLeafLine(pos, query);
+                                K query, Tracer* tracer = nullptr) {
+    return tree.host_tree().SearchLeafLine(Position(intermediate), query,
+                                           tracer);
   }
 
-  template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
-                                K query, Tracer* tracer) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().SearchLeafLine(pos, query, tracer);
+  template <typename Tracer = NullTracer>
+  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
+                  int max_matches, KeyValue<K>* out,
+                  Tracer* tracer = nullptr) {
+    return tree.host_tree().ScanLeaves(Position(intermediate), first_key,
+                                       max_matches, out, tracer);
   }
 };
 
@@ -351,14 +336,6 @@ struct FastAdapter {
   /// HB-FAST has no level-wise kernel (the block search is already
   /// layout-coalesced); the pipeline keeps its per-query launch.
   static constexpr bool kLevelWise = false;
-
-  static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
-                                          gpu::DevicePtr results,
-                                          std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes,
-                                          gpu::DevicePtr /*sort_scratch*/) {
-    return Launch(tree, queries, results, count, start_level, start_nodes);
-  }
 
   static int Height(const Tree& tree) {
     return tree.host_tree().block_levels();
@@ -370,8 +347,9 @@ struct FastAdapter {
 
   static gpu::KernelStats Launch(Tree& tree, gpu::DevicePtr queries,
                                  gpu::DevicePtr results, std::uint32_t count,
-                                 int start_level,
-                                 gpu::DevicePtr start_nodes) {
+                                 int start_level, gpu::DevicePtr start_nodes,
+                                 bool /*level_wise*/,
+                                 gpu::DevicePtr /*sort_scratch*/) {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
     return RunFastSearch<K>(tree.device(), params);
@@ -395,11 +373,15 @@ struct FastAdapter {
   }
 };
 
-template <typename K, typename Adapter>
+/// The bucket loop of every read pipeline (lookups here, range queries
+/// in hybrid/range_pipeline.h). The GPU resolves `queries` to
+/// intermediate results; `finish(q, intermediate, heat)` completes query
+/// q (an index into `queries`) on the CPU. `heat` is `config.heat`, held
+/// under its mutex, or null when the run is untraced.
+template <typename K, typename Adapter, typename Finish>
 Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
-                          std::vector<LookupResult<K>>* results,
-                          PipelineStats* stats_out) {
+                          Finish&& finish, PipelineStats* stats_out) {
   gpu::Device& device = tree.device();
   gpu::TransferEngine& transfer = tree.transfer();
   fault::FaultInjector* injector = device.fault_injector();
@@ -443,13 +425,11 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                         static_cast<double>(count));
   // Start-node indices travel as 32-bit values: every level a partial
   // descent can reach has fewer than 2^32 nodes.
-  std::vector<std::uint32_t> start_nodes(m);
+  std::vector<std::uint32_t> start_nodes(balanced ? m : 0);
   std::vector<std::uint64_t> intermediate(level_wise ? 0 : m);
   std::vector<IndexedResult> indexed(level_wise ? m : 0);
   std::vector<double> bucket_end;
   double latency_sum = 0;
-
-  if (results != nullptr) results->resize(count);
 
   if (level_wise && config.heat != nullptr) {
     // Sorted results let the CPU-side tracers attribute per-batch (not
@@ -540,10 +520,8 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
           auto launch = [&](gpu::DevicePtr q, gpu::DevicePtr r,
                             std::uint32_t cnt, int start_level,
                             gpu::DevicePtr s) {
-            return level_wise
-                       ? Adapter::LaunchLevelWise(tree, q, r, cnt,
-                                                  start_level, s, scratch)
-                       : Adapter::Launch(tree, q, r, cnt, start_level, s);
+            return Adapter::Launch(tree, q, r, cnt, start_level, s,
+                                   level_wise, scratch);
           };
           if (!balanced) {
             attempt = launch(q_dev.get(), r_dev.get(), n, height,
@@ -584,9 +562,9 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       heat.kernel_launches += balanced && part1 > 0 && part1 < n ? 2 : 1;
     }
     const gpu::KernelTime kt = gpu::EstimateKernelTime(device.spec(), ks);
-    if (const gpu::Device::DeviceMetrics* m = device.metrics()) {
-      m->kernel_launches->Increment();
-      m->occupancy->Set(kt.occupancy);
+    if (const gpu::Device::DeviceMetrics* metrics = device.metrics()) {
+      metrics->kernel_launches->Increment();
+      metrics->occupancy->Set(kt.occupancy);
     }
     const double t2 = kt.total_us + backoff_us;
 
@@ -605,10 +583,15 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
         &stats.transfer_retries, &backoff_us));
     t3 += backoff_us;
 
-    // -- T4: CPU leaf search. Level-wise records arrive in sorted order;
-    // each carries its query's slice-relative index, so the finish runs
-    // in sorted order and writes result i to query i. ------------------
-    auto finish = [&](auto&& finish_one) {
+    // -- T4: CPU finish (leaf search or scan). Level-wise records arrive
+    // in sorted order; each carries its query's slice-relative index, so
+    // the finish runs in sorted order and completes query i with
+    // result i. ----------------------------------------------------------
+    {
+      std::unique_lock<std::mutex> heat_lock;
+      if (config.heat != nullptr) {
+        heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
+      }
       for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t q =
             level_wise ? indexed[i].index + (i < part1 ? 0 : part1) : i;
@@ -617,19 +600,8 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
         const std::uint64_t inter =
             level_wise ? std::uint64_t{indexed[i].intermediate}
                        : intermediate[i];
-        LookupResult<K> r = finish_one(inter, bq[q]);
-        if (results != nullptr) (*results)[base + q] = r;
+        finish(base + q, inter, config.heat);
       }
-    };
-    if (config.heat != nullptr) {
-      std::lock_guard<std::mutex> lock(config.heat->mu);
-      finish([&](std::uint64_t inter, K key) {
-        return Adapter::Finish(tree, inter, key, &config.heat->cpu_leaf);
-      });
-    } else {
-      finish([&](std::uint64_t inter, K key) {
-        return Adapter::Finish(tree, inter, key);
-      });
     }
     const double t4 = n / config.cpu_queries_per_us;
 
@@ -695,12 +667,32 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   return Status::Ok();
 }
 
+/// Point lookups through the bucket loop: `results` (optional) receives
+/// lookup i at index i.
+template <typename K, typename Adapter>
+Status RunLookupsChecked(typename Adapter::Tree& tree, const K* queries,
+                         std::size_t count, const PipelineConfig& config,
+                         std::vector<LookupResult<K>>* results,
+                         PipelineStats* stats) {
+  if (results != nullptr) results->resize(count);
+  return RunPipelineChecked<K, Adapter>(
+      tree, queries, count, config,
+      [&](std::size_t q, std::uint64_t inter, obs::PipelineHeat* heat) {
+        const LookupResult<K> r =
+            heat != nullptr
+                ? Adapter::Finish(tree, inter, queries[q], &heat->cpu_leaf)
+                : Adapter::Finish(tree, inter, queries[q]);
+        if (results != nullptr) (*results)[q] = r;
+      },
+      stats);
+}
+
 template <typename K, typename Adapter>
 PipelineStats RunPipeline(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
                           std::vector<LookupResult<K>>* results) {
   PipelineStats stats;
-  const Status status = RunPipelineChecked<K, Adapter>(
+  const Status status = RunLookupsChecked<K, Adapter>(
       tree, queries, count, config, results, &stats);
   // Unreachable without an armed fault injector: callers that inject
   // faults must use the Try* entry points and handle the Status.
@@ -762,7 +754,7 @@ Status TryRunSearchPipeline(HBImplicitTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,
                             std::vector<LookupResult<K>>* results,
                             PipelineStats* stats) {
-  return pipeline_internal::RunPipelineChecked<
+  return pipeline_internal::RunLookupsChecked<
       K, pipeline_internal::ImplicitAdapter<K>>(tree, queries, count, config,
                                                 results, stats);
 }
@@ -772,7 +764,7 @@ Status TryRunSearchPipeline(HBRegularTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,
                             std::vector<LookupResult<K>>* results,
                             PipelineStats* stats) {
-  return pipeline_internal::RunPipelineChecked<
+  return pipeline_internal::RunLookupsChecked<
       K, pipeline_internal::RegularAdapter<K>>(tree, queries, count, config,
                                                results, stats);
 }
@@ -782,7 +774,7 @@ Status TryRunSearchPipeline(HBFastTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,
                             std::vector<LookupResult<K>>* results,
                             PipelineStats* stats) {
-  return pipeline_internal::RunPipelineChecked<
+  return pipeline_internal::RunLookupsChecked<
       K, pipeline_internal::FastAdapter<K>>(tree, queries, count, config,
                                             results, stats);
 }

@@ -18,17 +18,26 @@ namespace hbtree {
 
 /// GPU kernels of the HB+-tree (Section 5.3, Appendix D).
 ///
-/// Both kernels implement the paper's parallel node search: a team of T
-/// threads per query (T = 8 for 64-bit keys, 16 for 32-bit), each thread
-/// comparing one key of the current node, with the team's winner found via
-/// shared-memory flags — Snippet 3. They are written warp-synchronously
-/// against the SIMT simulator: per-lane loops between accounting calls are
-/// the lockstep execution a real warp performs, `Gather` coalesces the
-/// team loads into 64-byte transactions, and `SharedAccess`/`Instruction`
-/// charge the flag exchange and ALU work.
+/// One inner-search kernel per tree layout. Both implement the paper's
+/// parallel node search: a team of T threads per query (T = 8 for 64-bit
+/// keys, 16 for 32-bit), each thread comparing one key of the current
+/// node, with the team's winner found via shared-memory flags — Snippet 3.
+/// They are written warp-synchronously against the SIMT simulator:
+/// per-lane loops between accounting calls are the lockstep execution a
+/// real warp performs, `Gather` coalesces the team loads into 64-byte
+/// transactions, and `SharedAccess`/`Instruction` charge the flag exchange
+/// and ALU work.
 ///
 /// Both kernels support the load-balancing scheme (Section 5.5): queries
 /// may carry a per-query start node produced by a partial CPU descent.
+///
+/// Each kernel runs in one of two modes, chosen by the params'
+/// `level_wise` flag. Level-wise (DESIGN.md §14; what the pipeline
+/// launches) sorts the launch by key first, lets runs of teams sharing a
+/// node line load it once, and returns IndexedResult records in sorted
+/// order. Per-query mode, the test reference, has no sort phase: every
+/// team loads its own lines and plain 8 B values go back at the caller
+/// positions. The search itself is the same code in both modes.
 
 /// One result record of a level-wise launch on the wire (12 B): the
 /// intermediate result of the query at sorted position i and that
@@ -42,7 +51,8 @@ struct IndexedResult {
 #pragma pack(pop)
 static_assert(sizeof(IndexedResult) == 12, "12 B per query on the wire");
 
-/// Sort phase of the level-wise launches (DESIGN.md §14).
+/// Sort phase of level-wise launches and the helpers both modes share
+/// (DESIGN.md §14).
 ///
 /// A level-wise launch takes its queries in caller order and first sorts
 /// the (key, caller index, start node) records by key, ties by index —
@@ -90,7 +100,9 @@ inline int BitonicStages(std::uint32_t n) {
 
 template <typename K>
 struct SortedLaunch {
-  std::vector<SortRecord<K>> records;  // by (key, index)
+  std::vector<SortRecord<K>> records;  // by (key, index); caller order
+                                       // without a sort phase
+  bool sorted = true;  // false: per-query mode, no sort phase
   /// Where the sorted records live for the search phase's gather (the
   /// simulator serves their contents from `records`); null for a
   /// one-tile launch, whose search warps feed the shared sort themselves.
@@ -122,13 +134,15 @@ std::uint32_t LowerBound(const std::vector<K>& split, K key) {
          (*base < key ? 1u : 0u);
 }
 
-/// Runs the sort phase of a launch over `count` caller-order queries.
-/// The sort warps (one record per lane) are the launch's own warps
-/// running ahead of the search, so they add no warps to the launch.
+/// Runs the sort phase of a launch over `count` caller-order queries
+/// (only stages the records, in caller order, without `sort`). The sort
+/// warps (one record per lane) are the launch's own warps running ahead
+/// of the search, so they add no warps to the launch.
 template <typename K>
 SortedLaunch<K> SortLaunch(gpu::Device& device, gpu::DevicePtr queries,
                            gpu::DevicePtr start_nodes, std::uint32_t count,
-                           gpu::DevicePtr scratch, gpu::KernelStats* stats) {
+                           bool sort, gpu::DevicePtr scratch,
+                           gpu::KernelStats* stats) {
   using Record = SortRecord<K>;
   constexpr int kLanes = gpu::WarpScope::kWarpSize;
   constexpr std::uint32_t kBlock = 1024;   // records staged per block
@@ -149,6 +163,10 @@ SortedLaunch<K> SortLaunch(gpu::Device& device, gpu::DevicePtr queries,
     for (std::uint32_t i = 0; i < count; ++i) {
       cur[i] = Record{keys[i], i, starts != nullptr ? starts[i] : 0u};
     }
+  }
+  if (!sort) {
+    out.sorted = false;
+    return out;
   }
   if (count <= kSortTile<K>) {
     std::sort(cur.begin(), cur.end(), less);
@@ -353,9 +371,10 @@ SortedLaunch<K> SortLaunch(gpu::Device& device, gpu::DevicePtr queries,
   return out;
 }
 
-/// Search-phase load of one warp's teams: sorted key, caller index and
-/// start node (`root` without pre-descent) of sorted positions
-/// [warp_base, warp_base + teams).
+/// Search-phase load of one warp's teams: key, caller index and start
+/// node (`root` without pre-descent) of launch positions
+/// [warp_base, warp_base + teams) — sorted positions level-wise, caller
+/// positions in per-query mode.
 template <typename K>
 void LoadSortedTeams(gpu::WarpScope& warp, const SortedLaunch<K>& sorted,
                      gpu::DevicePtr queries, gpu::DevicePtr start_nodes,
@@ -369,9 +388,10 @@ void LoadSortedTeams(gpu::WarpScope& warp, const SortedLaunch<K>& sorted,
     }
     warp.RecordAccess(sorted.device, off, teams, sizeof(SortRecord<K>));
   } else {
-    // One-tile launch: the warp's coalesced loads of its caller-order
-    // queries (and start nodes) fill the block's shared tile; after the
-    // bitonic network each team reads its sorted record back.
+    // The warp's coalesced loads of its caller-order queries (and start
+    // nodes). In a one-tile level-wise launch they fill the block's
+    // shared tile; after the bitonic network each team reads its sorted
+    // record back.
     for (int t = 0; t < teams; ++t) off[t] = (warp_base + t) * sizeof(K);
     warp.RecordAccess(queries, off, teams, sizeof(K));
     if (!start_nodes.is_null()) {
@@ -380,15 +400,53 @@ void LoadSortedTeams(gpu::WarpScope& warp, const SortedLaunch<K>& sorted,
       }
       warp.RecordAccess(start_nodes, off, teams, sizeof(std::uint32_t));
     }
-    warp.SharedAccessUniform(teams);
-    ChargeBitonic(warp, sorted.tile_stages, teams);
-    warp.SharedAccessUniform(teams);
+    if (sorted.sorted) {
+      warp.SharedAccessUniform(teams);
+      ChargeBitonic(warp, sorted.tile_stages, teams);
+      warp.SharedAccessUniform(teams);
+    }
   }
   for (int t = 0; t < teams; ++t) {
     key[t] = rec[t].key;
     index[t] = rec[t].index;
     node[t] = start_nodes.is_null() ? root : rec[t].start;
   }
+}
+
+/// Marks "no line yet" in the cross-warp run carries (never a byte
+/// offset of a real line).
+inline constexpr std::uint64_t kNoLine = ~0ull;
+
+/// Loads one line per team into `out`: team t's `kLanesPerTeam`
+/// elements of T start at byte `line[t]` of `pool`. Level-wise, a team
+/// whose line equals the previous team's (`*carry` for the warp's first
+/// team; the sort makes such runs consecutive) follows its run's leader:
+/// only leaders issue the global gather, and the followers' lanes take
+/// the leader's line as one shared-memory broadcast. In per-query mode
+/// every team leads. Updates `*carry` and returns the number of leaders.
+template <int kLanesPerTeam, typename T>
+int LoadTeamLines(gpu::WarpScope& warp, gpu::DevicePtr pool,
+                  const std::byte* pool_host, const std::uint64_t* line,
+                  int teams, bool level_wise, std::uint64_t* carry, T* out) {
+  std::uint64_t off[gpu::WarpScope::kWarpSize];
+  int gathered = 0;
+  int leaders = 0;
+  for (int t = 0; t < teams; ++t) {
+    const std::uint64_t prev = t == 0 ? *carry : line[t - 1];
+    if (!level_wise || line[t] != prev) {
+      ++leaders;
+      for (int lane = 0; lane < kLanesPerTeam; ++lane) {
+        off[gathered++] = line[t] + lane * sizeof(T);
+      }
+    }
+    std::memcpy(out + t * kLanesPerTeam, pool_host + line[t],
+                kLanesPerTeam * sizeof(T));
+  }
+  *carry = line[teams - 1];
+  if (gathered > 0) warp.RecordAccess(pool, off, gathered, sizeof(T));
+  const int followers = teams * kLanesPerTeam - gathered;
+  if (followers > 0) warp.SharedAccessUniform(followers);
+  return leaders;
 }
 
 /// Writes one warp's results: IndexedResult records at the sorted
@@ -430,27 +488,53 @@ struct ImplicitKernelParams {
 
   gpu::DevicePtr queries;      // K[count]
   gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at node 0
-  gpu::DevicePtr results;      // uint64[count]: leaf line index
+  /// Leaf line index per query: IndexedResult[count] in sorted key order
+  /// (the 12 B/query wire format) when `level_wise`, else uint64[count]
+  /// in caller order.
+  gpu::DevicePtr results;
   std::uint32_t count = 0;
 
-  // Level-wise launches only (RunImplicitInnerSearchLevelWise):
-  /// Results as IndexedResult[count] in sorted key order (the 12 B/query
-  /// wire format) instead of uint64[count] in caller order.
-  bool indexed_results = false;
-  /// levelwise_internal::SortScratchBytes<K>(count) bytes of device
-  /// scratch for the sort phase; null lets the launch allocate its own.
+  /// Level-wise launch (sort phase, run dedup, indexed results) instead
+  /// of the per-query reference.
+  bool level_wise = false;
+  /// Level-wise only: levelwise_internal::SortScratchBytes<K>(count) bytes
+  /// of device scratch for the sort phase; null lets the launch allocate
+  /// its own.
   gpu::DevicePtr sort_scratch;
 };
 
-/// Runs the implicit inner-node search kernel; returns per-launch stats
-/// for the kernel cost model. Functionally computes results in device
-/// memory exactly as Snippet 3 would.
+/// Runs the implicit inner-node search kernel (Snippet 3); returns
+/// per-launch stats for the kernel cost model. Functionally computes
+/// results in device memory exactly as Snippet 3 would.
+///
+/// Level-wise, the launch's queries may come in any order: the sort phase
+/// above orders them by key inside the launch. Teams whose node at the
+/// current level equals the previous team's node (a "run") reuse the
+/// leader's node line from shared memory instead of re-issuing the global
+/// gather — the batch loads each distinct node once per level, which is
+/// the FPGA batch-search idea mapped onto warps. Run boundaries carry
+/// across warps, so the per-level node loads equal the number of distinct
+/// start nodes in the whole launch. The search side (flag exchange,
+/// compare, clamp) is the same in both modes: every query is resolved
+/// individually.
 template <typename K>
 gpu::KernelStats RunImplicitInnerSearch(gpu::Device& device,
                                         const ImplicitKernelParams<K>& p) {
   gpu::KernelStats stats;
   constexpr int kTeam = KeyTraits<K>::kPerCacheLine;  // threads per query
   const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
+  if (p.count == 0) return stats;
+
+  const auto launch = levelwise_internal::SortLaunch<K>(
+      device, p.queries, p.start_nodes, p.count, p.level_wise,
+      p.sort_scratch, &stats);
+  const std::byte* nodes_host = device.HostView(p.nodes);
+  stats.node_loads_by_level.assign(p.start_level + 1, 0);
+  stats.node_queries_by_level.assign(p.start_level + 1, 0);
+  // Run-leader carry across warps: the node line the previous team
+  // visited at each level.
+  std::vector<std::uint64_t> prev_line(p.start_level + 1,
+                                       levelwise_internal::kNoLine);
 
   for (std::uint32_t warp_base = 0; warp_base < p.count;
        warp_base += teams_per_warp) {
@@ -460,41 +544,24 @@ gpu::KernelStats RunImplicitInnerSearch(gpu::Device& device,
     const int lanes = teams * kTeam;
     gpu::WarpScope warp(&device, &stats, lanes);
 
-    // Load this warp's queries (coalesced: consecutive keys).
-    std::uint64_t offsets[gpu::WarpScope::kWarpSize];
     K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
-    // Starting node per team (32-bit indices on the wire).
+    std::uint32_t caller[gpu::WarpScope::kWarpSize];
     std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = 0;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
+    levelwise_internal::LoadSortedTeams(warp, launch, p.queries,
+                                        p.start_nodes, /*root=*/0, warp_base,
+                                        teams, team_query, caller, node);
 
     // Inner-node descent (Snippet 3).
     for (int level = p.start_level; level >= 1; --level) {
       // Each lane loads one key of its team's node: selfKey.
-      K self_key[gpu::WarpScope::kWarpSize];
+      std::uint64_t line[gpu::WarpScope::kWarpSize];
       for (int t = 0; t < teams; ++t) {
-        const std::uint64_t node_byte =
-            (p.level_offsets[level] + node[t]) * kCacheLineSize;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          offsets[t * kTeam + lane] = node_byte + lane * sizeof(K);
-        }
+        line[t] = (p.level_offsets[level] + node[t]) * kCacheLineSize;
       }
-      warp.Gather(p.nodes, offsets, lanes, self_key);
+      K self_key[gpu::WarpScope::kWarpSize];
+      const int leaders = levelwise_internal::LoadTeamLines<kTeam>(
+          warp, p.nodes, nodes_host, line, teams, p.level_wise,
+          &prev_line[level], self_key);
 
       // flag[threadIdx] = (teamQuery <= selfKey); write + barrier + read
       // neighbour flag + conditional result write (Snippet 3 lines 13-24).
@@ -517,122 +584,14 @@ gpu::KernelStats RunImplicitInnerSearch(gpu::Device& device,
         if (node[t] >= bound) node[t] = bound - 1;
       }
       warp.Instruction(1);  // the clamp
-    }
-
-    // Scatter leaf line indices (one lane per team writes; consecutive
-    // 8-byte results coalesce into one transaction per warp).
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
-    }
-    warp.Scatter(p.results, roff, teams, node);
-  }
-  return stats;
-}
-
-/// Level-wise variant of the implicit inner search (DESIGN.md §14).
-///
-/// Takes the launch's queries in any order: the sort phase above first
-/// orders them by key inside the launch. Teams whose node at the current
-/// level equals the previous team's node (a "run") reuse the leader's
-/// node line from shared memory instead of re-issuing the global gather —
-/// the batch loads each distinct node once per level, which is the FPGA
-/// batch-search idea mapped onto warps. The search side (flag exchange,
-/// compare, clamp) is unchanged: every query is still resolved
-/// individually. Run boundaries carry across warps, so the per-level node
-/// loads equal the number of distinct start nodes in the whole launch.
-/// Results go out as IndexedResult records in sorted order, or (without
-/// `indexed_results`) as plain values back at the caller positions.
-template <typename K>
-gpu::KernelStats RunImplicitInnerSearchLevelWise(
-    gpu::Device& device, const ImplicitKernelParams<K>& p) {
-  gpu::KernelStats stats;
-  constexpr int kTeam = KeyTraits<K>::kPerCacheLine;
-  const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
-  if (p.count == 0) return stats;
-
-  const auto sorted = levelwise_internal::SortLaunch<K>(
-      device, p.queries, p.start_nodes, p.count, p.sort_scratch, &stats);
-  const std::byte* nodes_host = device.HostView(p.nodes);
-  stats.node_loads_by_level.assign(p.start_level + 1, 0);
-  stats.node_queries_by_level.assign(p.start_level + 1, 0);
-  // Run-leader carry across warps: the node the previous team visited at
-  // each level (sorted batches make equal-node runs consecutive).
-  constexpr std::uint64_t kNone = ~0ull;
-  std::vector<std::uint64_t> prev_node(p.start_level + 1, kNone);
-
-  for (std::uint32_t warp_base = 0; warp_base < p.count;
-       warp_base += teams_per_warp) {
-    const int teams =
-        static_cast<int>(std::min<std::uint32_t>(teams_per_warp,
-                                                 p.count - warp_base));
-    const int lanes = teams * kTeam;
-    gpu::WarpScope warp(&device, &stats, lanes);
-
-    K team_query[gpu::WarpScope::kWarpSize];
-    std::uint32_t caller[gpu::WarpScope::kWarpSize];
-    std::uint64_t node[gpu::WarpScope::kWarpSize];
-    levelwise_internal::LoadSortedTeams(warp, sorted, p.queries,
-                                        p.start_nodes, /*root=*/0, warp_base,
-                                        teams, team_query, caller, node);
-
-    for (int level = p.start_level; level >= 1; --level) {
-      // Run leaders issue the node-line gather; followers reuse it.
-      std::uint64_t goff[gpu::WarpScope::kWarpSize];
-      int gl = 0;
-      int leaders = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t prev = t == 0 ? prev_node[level] : node[t - 1];
-        if (node[t] != prev) {
-          ++leaders;
-          const std::uint64_t node_byte =
-              (p.level_offsets[level] + node[t]) * kCacheLineSize;
-          for (int lane = 0; lane < kTeam; ++lane) {
-            goff[gl++] = node_byte + lane * sizeof(K);
-          }
-        }
-      }
-      prev_node[level] = node[teams - 1];
-      if (gl > 0) warp.RecordAccess(p.nodes, goff, gl, sizeof(K));
-      const int follower_lanes = lanes - gl;
-      if (follower_lanes > 0) {
-        warp.SharedAccessUniform(follower_lanes);  // leader-line broadcast
-      }
-      // Functional node read for every team (followers take the leader's
-      // line from shared memory; the broadcast above is its charge).
-      K self_key[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t node_byte =
-            (p.level_offsets[level] + node[t]) * kCacheLineSize;
-        std::memcpy(&self_key[t * kTeam], nodes_host + node_byte,
-                    kTeam * sizeof(K));
-      }
-
-      // Flag exchange + result, identical to the per-query kernel: the
-      // search itself still happens per query.
-      warp.SharedAccessUniform(lanes);  // flag store
-      warp.Instruction(2);              // compare + selfFlag
-      warp.SharedAccessUniform(lanes);  // neighbour flag load
-      warp.Instruction(2);              // transition test + result store
-      warp.Instruction(2);              // __syncthreads x2 (warp-level)
-
-      for (int t = 0; t < teams; ++t) {
-        int result = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (self_key[t * kTeam + lane] < team_query[t]) ++result;
-        }
-        HBTREE_DCHECK(result < p.fanout);
-        node[t] = node[t] * p.fanout + static_cast<std::uint64_t>(result);
-        const std::uint64_t bound = p.level_alloc[level - 1];
-        if (node[t] >= bound) node[t] = bound - 1;
-      }
-      warp.Instruction(1);  // the clamp
 
       stats.node_loads_by_level[level] += static_cast<std::uint64_t>(leaders);
       stats.node_queries_by_level[level] += static_cast<std::uint64_t>(teams);
     }
 
-    levelwise_internal::StoreResults(warp, p.results, p.indexed_results,
+    // Leaf line indices: one lane per team writes; consecutive results
+    // coalesce into one transaction per warp.
+    levelwise_internal::StoreResults(warp, p.results, p.level_wise,
                                      warp_base, teams, node, caller);
   }
   return stats;
@@ -649,11 +608,12 @@ struct RegularKernelParams {
 
   gpu::DevicePtr queries;      // K[count]
   gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at root
-  gpu::DevicePtr results;      // uint64[count]: (last_inner << 16) | line
+  gpu::DevicePtr results;      // (last_inner << 16) | line per query, in
+                               // the format of ImplicitKernelParams
   std::uint32_t count = 0;
 
-  // Level-wise launches only; see ImplicitKernelParams.
-  bool indexed_results = false;
+  // See ImplicitKernelParams.
+  bool level_wise = false;
   gpu::DevicePtr sort_scratch;
 };
 
@@ -673,6 +633,14 @@ inline int UnpackLeafLine(std::uint64_t packed) {
 /// the index line, fetches and searches the selected key line, then one
 /// lane fetches the child reference — "three memory accesses instead of
 /// one" (Section 5.3).
+///
+/// Modes as in RunImplicitInnerSearch. Level-wise, the run leader issues
+/// the global gathers (index line, key line, child ref) and followers
+/// take the lines from shared memory; the key-line and child-ref loads
+/// dedupe one grain finer, on the selected line, so queries of one run
+/// that fall into the same key line share that fetch too. Per-level node
+/// loads (the index-line leaders) equal the distinct start nodes of the
+/// launch at that level.
 template <typename K>
 gpu::KernelStats RunRegularInnerSearch(gpu::Device& device,
                                        const RegularKernelParams<K>& p) {
@@ -684,6 +652,24 @@ gpu::KernelStats RunRegularInnerSearch(gpu::Device& device,
   constexpr std::uint64_t kKeysBase = Shape::kIdx * sizeof(K);
   constexpr std::uint64_t kRefsBase =
       kKeysBase + Shape::kFanout * sizeof(K);
+  if (p.count == 0) return stats;
+
+  const auto launch = levelwise_internal::SortLaunch<K>(
+      device, p.queries, p.start_nodes, p.count, p.level_wise,
+      p.sort_scratch, &stats);
+  auto host_view = [&device](gpu::DevicePtr ptr) -> const std::byte* {
+    return ptr.is_null() ? nullptr : device.HostView(ptr);
+  };
+  const std::byte* inner_host = host_view(p.inner_hot);
+  const std::byte* last_host = host_view(p.last_hot);
+  stats.node_loads_by_level.assign(p.start_level + 1, 0);
+  stats.node_queries_by_level.assign(p.start_level + 1, 0);
+  // Cross-warp run carries per level: the previous team's index line,
+  // key line and child-ref slot.
+  const std::vector<std::uint64_t> none(p.start_level + 1,
+                                        levelwise_internal::kNoLine);
+  std::vector<std::uint64_t> prev_index = none, prev_keys = none,
+                             prev_ref = none;
 
   for (std::uint32_t warp_base = 0; warp_base < p.count;
        warp_base += teams_per_warp) {
@@ -694,41 +680,25 @@ gpu::KernelStats RunRegularInnerSearch(gpu::Device& device,
     gpu::WarpScope warp(&device, &stats, lanes);
 
     K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
+    std::uint32_t caller[gpu::WarpScope::kWarpSize];
     std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = p.root;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
+    levelwise_internal::LoadSortedTeams(warp, launch, p.queries,
+                                        p.start_nodes, p.root, warp_base,
+                                        teams, team_query, caller, node);
 
-    std::uint64_t offsets[gpu::WarpScope::kWarpSize];
+    std::uint64_t line[gpu::WarpScope::kWarpSize];
     K lane_key[gpu::WarpScope::kWarpSize];
-
     int line_result[gpu::WarpScope::kWarpSize];
     for (int level = p.start_level; level >= 1; --level) {
       const bool last = level == 1;
       const gpu::DevicePtr pool = last ? p.last_hot : p.inner_hot;
+      const std::byte* pool_host = last ? last_host : inner_host;
 
       // Step 1: parallel search of the index line.
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t base = node[t] * kHotBytes;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          offsets[t * kTeam + lane] = base + lane * sizeof(K);
-        }
-      }
-      warp.Gather(pool, offsets, lanes, lane_key);
+      for (int t = 0; t < teams; ++t) line[t] = node[t] * kHotBytes;
+      const int leaders = levelwise_internal::LoadTeamLines<kTeam>(
+          warp, pool, pool_host, line, teams, p.level_wise,
+          &prev_index[level], lane_key);
       warp.SharedAccessUniform(lanes);
       warp.Instruction(4);
       warp.SharedAccessUniform(lanes);
@@ -744,179 +714,12 @@ gpu::KernelStats RunRegularInnerSearch(gpu::Device& device,
 
       // Step 2: fetch and search the selected key line.
       for (int t = 0; t < teams; ++t) {
-        const std::uint64_t base =
-            node[t] * kHotBytes + kKeysBase +
-            static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
-        for (int lane = 0; lane < kTeam; ++lane) {
-          offsets[t * kTeam + lane] = base + lane * sizeof(K);
-        }
+        line[t] = node[t] * kHotBytes + kKeysBase +
+                  static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
       }
-      warp.Gather(pool, offsets, lanes, lane_key);
-      warp.SharedAccessUniform(lanes);
-      warp.Instruction(4);
-      warp.SharedAccessUniform(lanes);
-      for (int t = 0; t < teams; ++t) {
-        int count_less = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (lane_key[t * kTeam + lane] < team_query[t]) ++count_less;
-        }
-        HBTREE_DCHECK(count_less < kTeam);
-        line_result[t] = s[t] * kTeam + count_less;
-      }
-
-      if (last) break;
-
-      // Step 3: one lane per team fetches the child reference.
-      K child_ref[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        offsets[t] = node[t] * kHotBytes + kRefsBase +
-                     static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
-      }
-      warp.Gather(pool, offsets, teams, child_ref);
-      warp.Instruction(1);
-      for (int t = 0; t < teams; ++t) {
-        node[t] = static_cast<std::uint64_t>(child_ref[t]);
-      }
-    }
-
-    // Scatter packed (last inner node, leaf line) results.
-    std::uint64_t packed[gpu::WarpScope::kWarpSize];
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      packed[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
-                                   line_result[t]);
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
-    }
-    warp.Scatter(p.results, roff, teams, packed);
-  }
-  return stats;
-}
-
-/// Level-wise variant of the regular-tree inner search (DESIGN.md §14).
-///
-/// Same contract as RunImplicitInnerSearchLevelWise: the sort phase
-/// orders the launch, so consecutive teams sharing a node form a run. The run
-/// leader issues the global gathers (index line, key line, child ref);
-/// followers take the lines from shared memory. Key-line and child-ref
-/// gathers additionally dedupe on the selected line — queries of one run
-/// that fall into the same key line share that fetch too. Per-level node
-/// loads (the index-line leaders) equal the distinct start nodes of the
-/// launch at that level.
-template <typename K>
-gpu::KernelStats RunRegularInnerSearchLevelWise(
-    gpu::Device& device, const RegularKernelParams<K>& p) {
-  gpu::KernelStats stats;
-  using Shape = RegularShape<K>;
-  constexpr int kTeam = Shape::kIdx;
-  const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
-  constexpr std::uint64_t kHotBytes = sizeof(RegularInnerHot<K>);
-  constexpr std::uint64_t kKeysBase = Shape::kIdx * sizeof(K);
-  constexpr std::uint64_t kRefsBase =
-      kKeysBase + Shape::kFanout * sizeof(K);
-  if (p.count == 0) return stats;
-
-  const auto sorted = levelwise_internal::SortLaunch<K>(
-      device, p.queries, p.start_nodes, p.count, p.sort_scratch, &stats);
-  auto host_view = [&device](gpu::DevicePtr ptr) -> const std::byte* {
-    return ptr.is_null() ? nullptr : device.HostView(ptr);
-  };
-  const std::byte* inner_host = host_view(p.inner_hot);
-  const std::byte* last_host = host_view(p.last_hot);
-  stats.node_loads_by_level.assign(p.start_level + 1, 0);
-  stats.node_queries_by_level.assign(p.start_level + 1, 0);
-  // Cross-warp run carries: previous team's node, (node, key line) and
-  // (node, result line) per level. Lines fit in 16 bits, so the packed
-  // carries can never collide with the ~0 sentinel.
-  constexpr std::uint64_t kNone = ~0ull;
-  std::vector<std::uint64_t> prev_node(p.start_level + 1, kNone);
-  std::vector<std::uint64_t> prev_kline(p.start_level + 1, kNone);
-  std::vector<std::uint64_t> prev_rline(p.start_level + 1, kNone);
-
-  for (std::uint32_t warp_base = 0; warp_base < p.count;
-       warp_base += teams_per_warp) {
-    const int teams =
-        static_cast<int>(std::min<std::uint32_t>(teams_per_warp,
-                                                 p.count - warp_base));
-    const int lanes = teams * kTeam;
-    gpu::WarpScope warp(&device, &stats, lanes);
-
-    K team_query[gpu::WarpScope::kWarpSize];
-    std::uint32_t caller[gpu::WarpScope::kWarpSize];
-    std::uint64_t node[gpu::WarpScope::kWarpSize];
-    levelwise_internal::LoadSortedTeams(warp, sorted, p.queries,
-                                        p.start_nodes, p.root, warp_base,
-                                        teams, team_query, caller, node);
-
-    std::uint64_t goff[gpu::WarpScope::kWarpSize];
-    K lane_key[gpu::WarpScope::kWarpSize];
-
-    int line_result[gpu::WarpScope::kWarpSize];
-    for (int level = p.start_level; level >= 1; --level) {
-      const bool last = level == 1;
-      const gpu::DevicePtr pool = last ? p.last_hot : p.inner_hot;
-      const std::byte* pool_host = last ? last_host : inner_host;
-
-      // Step 1: index line — run leaders gather, followers broadcast.
-      int gl = 0;
-      int leaders = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t prev = t == 0 ? prev_node[level] : node[t - 1];
-        if (node[t] != prev) {
-          ++leaders;
-          const std::uint64_t base = node[t] * kHotBytes;
-          for (int lane = 0; lane < kTeam; ++lane) {
-            goff[gl++] = base + lane * sizeof(K);
-          }
-        }
-      }
-      prev_node[level] = node[teams - 1];
-      if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
-      if (lanes - gl > 0) warp.SharedAccessUniform(lanes - gl);
-      for (int t = 0; t < teams; ++t) {
-        std::memcpy(&lane_key[t * kTeam], pool_host + node[t] * kHotBytes,
-                    kTeam * sizeof(K));
-      }
-      warp.SharedAccessUniform(lanes);
-      warp.Instruction(4);
-      warp.SharedAccessUniform(lanes);
-      int s[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        int count_less = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (lane_key[t * kTeam + lane] < team_query[t]) ++count_less;
-        }
-        HBTREE_DCHECK(count_less < kTeam);
-        s[t] = count_less;
-      }
-
-      // Step 2: key line — dedupe on (node, selected line); sorted runs
-      // make equal selections consecutive here too.
-      gl = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t kline =
-            (node[t] << 16) | static_cast<std::uint64_t>(s[t]);
-        const std::uint64_t prev =
-            t == 0 ? prev_kline[level]
-                   : (node[t - 1] << 16) | static_cast<std::uint64_t>(s[t - 1]);
-        if (kline != prev) {
-          const std::uint64_t base =
-              node[t] * kHotBytes + kKeysBase +
-              static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
-          for (int lane = 0; lane < kTeam; ++lane) {
-            goff[gl++] = base + lane * sizeof(K);
-          }
-        }
-      }
-      prev_kline[level] = (node[teams - 1] << 16) |
-                          static_cast<std::uint64_t>(s[teams - 1]);
-      if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
-      if (lanes - gl > 0) warp.SharedAccessUniform(lanes - gl);
-      for (int t = 0; t < teams; ++t) {
-        std::memcpy(&lane_key[t * kTeam],
-                    pool_host + node[t] * kHotBytes + kKeysBase +
-                        static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K),
-                    kTeam * sizeof(K));
-      }
+      levelwise_internal::LoadTeamLines<kTeam>(warp, pool, pool_host, line,
+                                               teams, p.level_wise,
+                                               &prev_keys[level], lane_key);
       warp.SharedAccessUniform(lanes);
       warp.Instruction(4);
       warp.SharedAccessUniform(lanes);
@@ -934,41 +737,28 @@ gpu::KernelStats RunRegularInnerSearchLevelWise(
 
       if (last) break;
 
-      // Step 3: child reference — dedupe on (node, result line).
-      gl = 0;
+      // Step 3: one lane per team fetches the child reference.
       for (int t = 0; t < teams; ++t) {
-        const std::uint64_t rline =
-            (node[t] << 16) | static_cast<std::uint64_t>(line_result[t]);
-        const std::uint64_t prev =
-            t == 0 ? prev_rline[level]
-                   : (node[t - 1] << 16) |
-                         static_cast<std::uint64_t>(line_result[t - 1]);
-        if (rline != prev) {
-          goff[gl++] = node[t] * kHotBytes + kRefsBase +
-                       static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
-        }
+        line[t] = node[t] * kHotBytes + kRefsBase +
+                  static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
       }
-      prev_rline[level] = (node[teams - 1] << 16) |
-                          static_cast<std::uint64_t>(line_result[teams - 1]);
-      if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
-      if (teams - gl > 0) warp.SharedAccessUniform(teams - gl);
+      K child_ref[gpu::WarpScope::kWarpSize];
+      levelwise_internal::LoadTeamLines<1>(warp, pool, pool_host, line,
+                                           teams, p.level_wise,
+                                           &prev_ref[level], child_ref);
       warp.Instruction(1);
       for (int t = 0; t < teams; ++t) {
-        K child_ref;
-        std::memcpy(&child_ref,
-                    pool_host + node[t] * kHotBytes + kRefsBase +
-                        static_cast<std::uint64_t>(line_result[t]) * sizeof(K),
-                    sizeof(K));
-        node[t] = static_cast<std::uint64_t>(child_ref);
+        node[t] = static_cast<std::uint64_t>(child_ref[t]);
       }
     }
 
+    // Packed (last inner node, leaf line) results.
     std::uint64_t packed[gpu::WarpScope::kWarpSize];
     for (int t = 0; t < teams; ++t) {
       packed[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
                                    line_result[t]);
     }
-    levelwise_internal::StoreResults(warp, p.results, p.indexed_results,
+    levelwise_internal::StoreResults(warp, p.results, p.level_wise,
                                      warp_base, teams, packed, caller);
   }
   return stats;

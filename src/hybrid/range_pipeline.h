@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/workload.h"
@@ -13,212 +12,55 @@ namespace hbtree {
 
 /// Heterogeneous range queries (Section 6.4, Figure 17).
 ///
-/// Same division of labour as point lookups: the GPU resolves every range
-/// query's *start position* through the mirrored I-segment; the CPU then
-/// scans the leaf chain sequentially — which is where range queries spend
-/// their time, and why the HB+-tree's advantage shrinks as ranges grow.
+/// Same division of labour as point lookups, through the same bucket
+/// loop (level-wise dispatch, load balancing, fault retries): the GPU
+/// resolves every range query's *start position* through the mirrored
+/// I-segment; the CPU then scans the leaf chain sequentially — which is
+/// where range queries spend their time, and why the HB+-tree's advantage
+/// shrinks as ranges grow.
 ///
 /// Results land in a flat pair buffer: query i's matches are
 /// `pairs[i * max_matches .. i * max_matches + counts[i])`.
 
 namespace range_internal {
 
-template <typename K>
-struct ImplicitRangeAdapter {
-  using Tree = HBImplicitTree<K>;
-  using Base = pipeline_internal::ImplicitAdapter<K>;
-
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out) {
-    return tree.host_tree().ScanLeaves(intermediate, first_key, max_matches,
-                                       out);
-  }
-
-  template <typename Tracer>
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out, Tracer* tracer) {
-    if constexpr (requires {
-                    tree.host_tree().ScanLeaves(intermediate, first_key,
-                                                max_matches, out, tracer);
-                  }) {
-      return tree.host_tree().ScanLeaves(intermediate, first_key, max_matches,
-                                         out, tracer);
-    } else {
-      return Scan(tree, intermediate, first_key, max_matches, out);
-    }
-  }
-};
-
-template <typename K>
-struct RegularRangeAdapter {
-  using Tree = HBRegularTree<K>;
-  using Base = pipeline_internal::RegularAdapter<K>;
-
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().ScanLeaves(pos, first_key, max_matches, out);
-  }
-
-  template <typename Tracer>
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out, Tracer* tracer) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().ScanLeaves(pos, first_key, max_matches, out,
-                                       tracer);
-  }
-};
-
+/// Range queries through the lookup pipeline's bucket loop: the start
+/// keys go through the GPU, and the CPU finish scans the leaf chain.
 template <typename K, typename Adapter>
 Status RunRangeChecked(typename Adapter::Tree& tree,
                        const RangeQuery<K>* queries, std::size_t count,
                        int max_matches, const PipelineConfig& config,
                        std::vector<KeyValue<K>>* pairs,
-                       std::vector<int>* counts, PipelineStats* stats_out) {
-  using Base = typename Adapter::Base;
-  gpu::Device& device = tree.device();
-  gpu::TransferEngine& transfer = tree.transfer();
-  fault::FaultInjector* injector = device.fault_injector();
-  const fault::RetryPolicy retry{config.max_device_retries,
-                                 config.retry_backoff_us, 2.0};
-  const int height = Base::Height(tree);
-
-  if (config.bucket_size <= 0 || max_matches <= 0) {
-    return Status::InvalidArgument(
-        "bucket_size and max_matches must be positive");
+                       std::vector<int>* counts, PipelineStats* stats) {
+  if (max_matches <= 0) {
+    return Status::InvalidArgument("max_matches must be positive");
   }
-  const std::uint32_t m = static_cast<std::uint32_t>(config.bucket_size);
-  gpu::ScopedDeviceAlloc q_dev(&device, m * sizeof(K));
-  gpu::ScopedDeviceAlloc r_dev(&device, m * sizeof(std::uint64_t));
-  if (!q_dev.ok() || !r_dev.ok()) {
-    return Status::DeviceOom("range buffers do not fit in device memory");
+  std::vector<K> first_keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    first_keys[i] = queries[i].first_key;
   }
-
-  PipelineStats& stats = *stats_out;
-  stats = PipelineStats{};
-  pipeline_internal::Scheduler scheduler(config.strategy);
-  std::vector<K> first_keys(m);
-  std::vector<std::uint64_t> intermediate(m);
-  std::vector<double> bucket_end;
-  double latency_sum = 0;
-
   if (pairs != nullptr) {
     pairs->resize(count * static_cast<std::size_t>(max_matches));
   }
   if (counts != nullptr) counts->assign(count, 0);
-
-  for (std::size_t base = 0; base < count; base += m) {
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      first_keys[i] = queries[base + i].first_key;
-    }
-
-    // T1: start keys to the device (transient faults retry with modelled
-    // backoff charged to this bucket's T1, as in the lookup pipeline).
-    double backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&] {
-          return transfer.TryCopyToDevice(q_dev.get(), first_keys.data(),
-                                          n * sizeof(K));
-        },
-        &stats.transfer_retries, &backoff_us));
-    const double t1 = transfer.HostToDeviceUs(n * sizeof(K)) + backoff_us;
-
-    // T2: the same inner-search kernel resolves the start positions.
-    gpu::KernelStats ks;
-    backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&]() -> Status {
-          if (injector != nullptr) {
-            HBTREE_RETURN_IF_ERROR(injector->Check(fault::Site::kKernel));
-          }
-          ks = Base::Launch(tree, q_dev.get(), r_dev.get(), n, height,
-                            gpu::DevicePtr{});
-          return Status::Ok();
-        },
-        &stats.kernel_retries, &backoff_us));
-    stats.kernel += ks;
-    const double t2 =
-        gpu::EstimateKernelTime(device.spec(), ks).total_us + backoff_us;
-
-    // T3: positions back to the host.
-    double t3 = 0;
-    backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&] {
-          return transfer.TryCopyToHost(intermediate.data(), r_dev.get(),
-                                        n * sizeof(std::uint64_t), &t3);
-        },
-        &stats.transfer_retries, &backoff_us));
-    t3 += backoff_us;
-
-    // T4: CPU leaf-chain scan per query. With a heat sink configured the
-    // whole stage loop runs traced under the sink's mutex (same pattern
-    // as the lookup pipeline's T4).
-    {
-      std::unique_lock<std::mutex> heat_lock;
-      if (config.heat != nullptr) {
-        heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
-      }
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto& query = queries[base + i];
-        const int want = std::min(max_matches, query.match_count);
-        KeyValue<K>* out =
-            pairs != nullptr
-                ? pairs->data() + (base + i) * max_matches
-                : nullptr;
+  return pipeline_internal::RunPipelineChecked<K, Adapter>(
+      tree, first_keys.data(), count, config,
+      [&](std::size_t q, std::uint64_t inter, obs::PipelineHeat* heat) {
+        const int want = std::min(max_matches, queries[q].match_count);
+        // Without a pair buffer the scan still runs, for one pair.
         KeyValue<K> scratch[1];
-        KeyValue<K>* dst = out != nullptr ? out : scratch;
-        const int limit = out != nullptr ? want : std::min(want, 1);
-        int got;
-        if (config.heat != nullptr) {
-          got = Adapter::Scan(tree, intermediate[i], query.first_key, limit,
-                              dst, &config.heat->scan);
-        } else {
-          got = Adapter::Scan(tree, intermediate[i], query.first_key, limit,
-                              dst);
-        }
-        if (counts != nullptr) (*counts)[base + i] = got;
-      }
-    }
-    const double t4 = n / config.cpu_queries_per_us;
-
-    const std::size_t b = bucket_end.size();
-    const double ready =
-        b >= static_cast<std::size_t>(config.buckets_in_flight)
-            ? bucket_end[b - config.buckets_in_flight]
-            : 0.0;
-    const double end = scheduler.ScheduleBucket(ready, 0, t1, t2, t3, t4);
-    bucket_end.push_back(end);
-    latency_sum += end - ready;
-
-    stats.t1_us += t1;
-    stats.t2_us += t2;
-    stats.t3_us += t3;
-    stats.t4_us += t4;
-  }
-
-  const double buckets = static_cast<double>(bucket_end.size());
-  stats.queries = count;
-  stats.total_us = bucket_end.empty() ? 0 : bucket_end.back();
-  stats.mqps = stats.total_us > 0 ? count / stats.total_us : 0;
-  stats.avg_latency_us = buckets > 0 ? latency_sum / buckets : 0;
-  if (buckets > 0) {
-    stats.t1_us /= buckets;
-    stats.t2_us /= buckets;
-    stats.t3_us /= buckets;
-    stats.t4_us /= buckets;
-  }
-  stats.gpu_busy_us = scheduler.gpu_busy();
-  stats.cpu_busy_us = scheduler.cpu_busy();
-  stats.pcie_busy_us = scheduler.pcie_busy();
-  return Status::Ok();
+        KeyValue<K>* out = pairs != nullptr
+                               ? pairs->data() + q * max_matches
+                               : scratch;
+        const int limit = pairs != nullptr ? want : std::min(want, 1);
+        const K first = queries[q].first_key;
+        const int got =
+            heat != nullptr
+                ? Adapter::Scan(tree, inter, first, limit, out, &heat->scan)
+                : Adapter::Scan(tree, inter, first, limit, out);
+        if (counts != nullptr) (*counts)[q] = got;
+      },
+      stats);
 }
 
 template <typename K, typename Adapter>
@@ -249,7 +91,7 @@ PipelineStats RunRangePipeline(HBImplicitTree<K>& tree,
                                const PipelineConfig& config,
                                std::vector<KeyValue<K>>* pairs = nullptr,
                                std::vector<int>* counts = nullptr) {
-  return range_internal::RunRange<K, range_internal::ImplicitRangeAdapter<K>>(
+  return range_internal::RunRange<K, pipeline_internal::ImplicitAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts);
 }
 
@@ -261,7 +103,7 @@ PipelineStats RunRangePipeline(HBRegularTree<K>& tree,
                                const PipelineConfig& config,
                                std::vector<KeyValue<K>>* pairs = nullptr,
                                std::vector<int>* counts = nullptr) {
-  return range_internal::RunRange<K, range_internal::RegularRangeAdapter<K>>(
+  return range_internal::RunRange<K, pipeline_internal::RegularAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts);
 }
 
@@ -275,7 +117,7 @@ Status TryRunRangePipeline(HBImplicitTree<K>& tree,
                            std::vector<KeyValue<K>>* pairs,
                            std::vector<int>* counts, PipelineStats* stats) {
   return range_internal::RunRangeChecked<
-      K, range_internal::ImplicitRangeAdapter<K>>(
+      K, pipeline_internal::ImplicitAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts, stats);
 }
 
@@ -286,7 +128,7 @@ Status TryRunRangePipeline(HBRegularTree<K>& tree,
                            std::vector<KeyValue<K>>* pairs,
                            std::vector<int>* counts, PipelineStats* stats) {
   return range_internal::RunRangeChecked<
-      K, range_internal::RegularRangeAdapter<K>>(
+      K, pipeline_internal::RegularAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts, stats);
 }
 

@@ -41,6 +41,42 @@ std::uint64_t CountRuns(const std::vector<std::uint64_t>& seq) {
   return runs;
 }
 
+/// Copies back a level-wise launch's `count` IndexedResult records.
+std::vector<IndexedResult> ReadIndexed(KernelFixture& fx,
+                                       gpu::DevicePtr results,
+                                       std::uint32_t count) {
+  std::vector<IndexedResult> records(count);
+  fx.transfer.CopyToHost(records.data(), results,
+                         count * sizeof(IndexedResult));
+  return records;
+}
+
+/// Device bytes of a launch's result scatter: each warp writes its
+/// teams' `record`-byte results contiguously, in aligned 64 B segments.
+std::uint64_t ResultWriteBytes(std::uint32_t count, std::uint32_t teams,
+                               std::uint64_t record) {
+  constexpr std::uint64_t kSegment = gpu::WarpScope::kTransactionBytes;
+  std::uint64_t bytes = 0;
+  for (std::uint32_t w = 0; w < count; w += teams) {
+    const std::uint64_t lo = w * record;
+    const std::uint64_t hi = std::min(count, w + teams) * record;
+    bytes += ((hi - 1) / kSegment - lo / kSegment + 1) * kSegment;
+  }
+  return bytes;
+}
+
+/// Device bytes a launch moved apart from its result scatter — the
+/// search's memory side. Level-wise mode writes 12 B IndexedResult
+/// records where per-query mode writes 8 B values; that wire-format cost
+/// belongs to the D2H stage, not to the node dedup.
+std::uint64_t SearchBytes(const gpu::KernelStats& stats, std::uint32_t count,
+                          std::uint32_t teams, bool level_wise) {
+  return stats.dram_bytes + stats.l2_bytes -
+         ResultWriteBytes(count, teams,
+                          level_wise ? sizeof(IndexedResult)
+                                     : sizeof(std::uint64_t));
+}
+
 template <typename K>
 std::vector<K> SortedMixedQueries(const std::vector<KeyValue<K>>& data,
                                   std::uint32_t count, std::uint64_t seed) {
@@ -68,20 +104,27 @@ TEST(ImplicitLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
 
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
   gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr x_dev = fx.device.Malloc(kCount * sizeof(IndexedResult));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
 
   gpu::KernelStats base = RunImplicitInnerSearch<Key64>(fx.device, params);
-  gpu::KernelStats lw =
-      RunImplicitInnerSearchLevelWise<Key64>(fx.device, params);
+  params.results = x_dev;
+  params.level_wise = true;
+  gpu::KernelStats lw = RunImplicitInnerSearch<Key64>(fx.device, params);
 
-  // Functional identity: both kernels land every query on the same leaf
+  // Functional identity: both modes land every query on the same leaf
   // line the host traversal computes.
   std::vector<std::uint64_t> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
                          kCount * sizeof(std::uint64_t));
+  const auto records = ReadIndexed(fx, x_dev, kCount);
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(results[i], host.FindLeafLine(queries[i])) << "query " << i;
+    const std::uint32_t index = records[i].index;
+    ASSERT_EQ(std::uint64_t{records[i].intermediate},
+              host.FindLeafLine(queries[index]))
+        << "record " << i;
   }
 
   // Exact reconciliation: at level l the batch's node sequence is the
@@ -101,12 +144,13 @@ TEST(ImplicitLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
               lw.node_queries_by_level[level]);
   }
 
-  // The per-query kernel reports no per-level counters; the level-wise
-  // one must win on the memory side of the cost model and nothing else.
-  EXPECT_TRUE(base.node_loads_by_level.empty());
+  // Per-query mode loads one node per query at every level; level-wise
+  // mode must win on the memory side of the cost model and nothing else.
+  EXPECT_EQ(base.node_loads_by_level, base.node_queries_by_level);
   EXPECT_EQ(lw.warps_executed, base.warps_executed);
   EXPECT_LT(lw.memory_gathers, base.memory_gathers);
-  EXPECT_LT(lw.dram_bytes + lw.l2_bytes, base.dram_bytes + base.l2_bytes);
+  EXPECT_LT(SearchBytes(lw, kCount, 4, true),
+            SearchBytes(base, kCount, 4, false));
 }
 
 TEST(ImplicitLevelWise, ReconcilesFromPreDescendedStartNodes) {
@@ -132,22 +176,23 @@ TEST(ImplicitLevelWise, ReconcilesFromPreDescendedStartNodes) {
         static_cast<std::uint32_t>(host.DescendLevels(queries[i], cpu_depth));
   }
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr x_dev = fx.device.Malloc(kCount * sizeof(IndexedResult));
   gpu::DevicePtr s_dev = fx.device.Malloc(kCount * sizeof(std::uint32_t));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   fx.transfer.CopyToDevice(s_dev, starts.data(),
                            kCount * sizeof(std::uint32_t));
 
-  auto params = tree.MakeKernelParams(q_dev, r_dev, kCount, start_level,
+  auto params = tree.MakeKernelParams(q_dev, x_dev, kCount, start_level,
                                       s_dev);
-  gpu::KernelStats lw =
-      RunImplicitInnerSearchLevelWise<Key64>(fx.device, params);
+  params.level_wise = true;
+  gpu::KernelStats lw = RunImplicitInnerSearch<Key64>(fx.device, params);
 
-  std::vector<std::uint64_t> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+  const auto records = ReadIndexed(fx, x_dev, kCount);
   for (std::uint32_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(results[i], host.FindLeafLine(queries[i])) << i;
+    const std::uint32_t index = records[i].index;
+    ASSERT_EQ(std::uint64_t{records[i].intermediate},
+              host.FindLeafLine(queries[index]))
+        << i;
   }
 
   ASSERT_EQ(lw.node_loads_by_level.size(),
@@ -177,20 +222,28 @@ TEST(RegularLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
 
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
   gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr x_dev = fx.device.Malloc(kCount * sizeof(IndexedResult));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
 
   gpu::KernelStats base = RunRegularInnerSearch<Key64>(fx.device, params);
-  gpu::KernelStats lw =
-      RunRegularInnerSearchLevelWise<Key64>(fx.device, params);
+  params.results = x_dev;
+  params.level_wise = true;
+  gpu::KernelStats lw = RunRegularInnerSearch<Key64>(fx.device, params);
 
   std::vector<std::uint64_t> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
                          kCount * sizeof(std::uint64_t));
+  const auto records = ReadIndexed(fx, x_dev, kCount);
   for (std::uint32_t i = 0; i < kCount; ++i) {
     auto expect = host.FindLeafPosition(queries[i]);
     ASSERT_EQ(UnpackLeafNode(results[i]), expect.last_inner) << i;
     ASSERT_EQ(UnpackLeafLine(results[i]), expect.line) << i;
+    const std::uint32_t index = records[i].index;
+    const std::uint64_t packed = records[i].intermediate;
+    expect = host.FindLeafPosition(queries[index]);
+    ASSERT_EQ(UnpackLeafNode(packed), expect.last_inner) << "record " << i;
+    ASSERT_EQ(UnpackLeafLine(packed), expect.line) << "record " << i;
   }
 
   ASSERT_EQ(lw.node_loads_by_level.size(),
@@ -207,7 +260,8 @@ TEST(RegularLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
   }
   EXPECT_EQ(lw.warps_executed, base.warps_executed);
   EXPECT_LT(lw.memory_gathers, base.memory_gathers);
-  EXPECT_LT(lw.dram_bytes + lw.l2_bytes, base.dram_bytes + base.l2_bytes);
+  EXPECT_LT(SearchBytes(lw, kCount, 4, true),
+            SearchBytes(base, kCount, 4, false));
 }
 
 template <typename Tree, typename K>
@@ -462,9 +516,10 @@ TEST(LevelWisePermutation, SkewedBucketsAboveOneTile) {
       tree, data, queries, pipeline);
 }
 
-TEST(LevelWiseSortPhase, UnindexedLaunchWritesBackInCallerOrder) {
-  // Without the indexed wire format the launch scatters each result back
-  // to its caller position: the kernel alone answers unsorted input.
+TEST(LevelWiseSortPhase, IndexedRecordsAnswerUnsortedInput) {
+  // The kernel alone answers unsorted input: every record carries the
+  // caller index of the query it resolved, and each caller index comes
+  // back exactly once.
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
@@ -474,29 +529,35 @@ TEST(LevelWiseSortPhase, UnindexedLaunchWritesBackInCallerOrder) {
   auto queries = TiedMixedQueries<Key64>(data, kCount, /*seed=*/27);
 
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr x_dev = fx.device.Malloc(kCount * sizeof(IndexedResult));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
-  auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
-  RunImplicitInnerSearchLevelWise<Key64>(fx.device, params);
-  std::vector<std::uint64_t> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+  auto params = tree.MakeKernelParams(q_dev, x_dev, kCount);
+  params.level_wise = true;
+  RunImplicitInnerSearch<Key64>(fx.device, params);
+  const auto records = ReadIndexed(fx, x_dev, kCount);
+  std::vector<bool> seen(kCount, false);
   for (std::uint32_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(results[i], tree.host_tree().FindLeafLine(queries[i])) << i;
+    const std::uint32_t index = records[i].index;
+    ASSERT_LT(index, kCount) << i;
+    ASSERT_FALSE(seen[index]) << i;
+    seen[index] = true;
+    ASSERT_EQ(std::uint64_t{records[i].intermediate},
+              tree.host_tree().FindLeafLine(queries[index]))
+        << i;
   }
 }
 
 /// Small-bucket guard: serving buckets hold a handful of keys, so a
 /// one-warp launch must not pay device-memory traffic for the sort. For
-/// one warp, the level-wise kernel without a sort phase issues exactly the
-/// per-query kernel's gathers — each level's first team leads, and its
-/// followers share the leader's segments — so the per-query kernel on the
-/// same pre-sorted input is the reference for memory gathers,
-/// transactions and warps. The sort may add only ALU and shared memory.
-template <typename Tree, typename K, typename PerQuery, typename LevelWise>
+/// one warp, level-wise mode without a sort phase issues exactly the
+/// per-query mode's gathers — each level's first team leads, and its
+/// followers share the leader's segments — so per-query mode on the same
+/// pre-sorted input is the reference for memory gathers, transactions and
+/// warps. The sort may add only ALU and shared memory.
+template <typename Tree, typename K, typename Kernel>
 void ExpectOneWarpSortIsFree(Tree& tree, KernelFixture& fx,
                              const std::vector<KeyValue<K>>& data,
-                             PerQuery per_query, LevelWise level_wise) {
+                             Kernel kernel) {
   for (std::uint32_t n = 1; n <= 4; ++n) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
     std::vector<K> queries(n);
@@ -511,10 +572,10 @@ void ExpectOneWarpSortIsFree(Tree& tree, KernelFixture& fx,
     gpu::DevicePtr x_dev = fx.device.Malloc(n * sizeof(IndexedResult));
     fx.transfer.CopyToDevice(q_dev, queries.data(), n * sizeof(K));
     auto params = tree.MakeKernelParams(q_dev, r_dev, n);
-    const gpu::KernelStats base = per_query(fx.device, params);
+    const gpu::KernelStats base = kernel(fx.device, params);
     params.results = x_dev;
-    params.indexed_results = true;
-    const gpu::KernelStats lw = level_wise(fx.device, params);
+    params.level_wise = true;
+    const gpu::KernelStats lw = kernel(fx.device, params);
 
     EXPECT_EQ(lw.warps_executed, 1u);
     EXPECT_EQ(lw.warps_executed, base.warps_executed);
@@ -552,9 +613,6 @@ TEST(LevelWiseSortPhase, OneWarpLaunchAddsOnlyAluAndSharedImplicit) {
       tree, fx, data,
       [](gpu::Device& d, const ImplicitKernelParams<Key64>& p) {
         return RunImplicitInnerSearch<Key64>(d, p);
-      },
-      [](gpu::Device& d, const ImplicitKernelParams<Key64>& p) {
-        return RunImplicitInnerSearchLevelWise<Key64>(d, p);
       });
 }
 
@@ -568,9 +626,6 @@ TEST(LevelWiseSortPhase, OneWarpLaunchAddsOnlyAluAndSharedRegular) {
       tree, fx, data,
       [](gpu::Device& d, const RegularKernelParams<Key64>& p) {
         return RunRegularInnerSearch<Key64>(d, p);
-      },
-      [](gpu::Device& d, const RegularKernelParams<Key64>& p) {
-        return RunRegularInnerSearchLevelWise<Key64>(d, p);
       });
 }
 
